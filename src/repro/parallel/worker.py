@@ -146,7 +146,7 @@ def execute_range(
             if ordinal == 0 and sample.fresh:
                 service.upload(sample, when)
             else:
-                service.rescan(sample.sha256, when)
+                service.rescan(sample, when)
             if collect_keys:
                 keys_by_month.setdefault(month_index(when), []).append(
                     (when, index))

@@ -129,7 +129,7 @@ def replay_trace(
             if ordinal == 0 and sample.fresh:
                 service.upload(sample, when)
             else:
-                service.rescan(sample.sha256, when)
+                service.rescan(sample, when)
             if i % 10_000 == 0:
                 store.ingest_batch(feed.poll())
         store.ingest_batch(feed.poll())

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.vt import clock
-from repro.vt.engines import EngineFleet
+from repro.vt.engines import CopyRule, EngineFleet
 from repro.vt.filetypes import CATEGORIES, FILE_TYPES, FileTypeProfile
 from repro.vt.samples import Sample
 
@@ -164,8 +164,15 @@ class DetectionPlan:
     #: leader's index.  OEM engines share scanning infrastructure, so the
     #: service also correlates their timeout behaviour with the leader's —
     #: without this, independent per-engine timeouts would cap copier
-    #: correlations far below the paper's 0.95-0.99 (Figure 11).
+    #: correlations far below the paper's 0.95-0.99 (Figure 11).  Held
+    #: in ascending follower index, the order the service draws that
+    #: correlated availability in, so scans never sort it.
     copied: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        followers = list(self.copied)
+        if followers != sorted(followers):
+            self.copied = dict(sorted(self.copied.items()))
 
     def label_at(self, engine_idx: int, timestamp: int) -> int:
         """Latent verdict (0/1) of an engine at ``timestamp``."""
@@ -205,6 +212,14 @@ class BehaviorContext:
         self.churn_weights: dict[str, list[float]] = {}
         self.churn_total: dict[str, float] = {}
         self.fp_weights: dict[str, list[float]] = {}
+        #: ``(follower, rule, leader_idx)`` in decision order.  Leaders
+        #: never draw in copy-rule resolution, so only followers are held.
+        self.copy_rules: tuple[tuple[int, CopyRule, int], ...] = tuple(
+            (idx, fleet.engines[idx].copies,
+             fleet.index[fleet.engines[idx].copies.leader])
+            for idx in fleet.decision_order
+            if fleet.engines[idx].copies is not None
+        )
         for category in CATEGORIES:
             dw = fleet.detection_weights(category)
             positive = [w for w in dw if w > 0.05]
@@ -325,8 +340,8 @@ def _malicious_transitions(
     initial_set = set(detectors[:n_initial])
 
     transitions: dict[int, list[tuple[int, int]]] = {}
+    churn_weights = ctx.churn_weights[category]
     for idx in detectors:
-        engine = ctx.fleet.engines[idx]
         if known:
             onset = first_seen - clock.minutes(
                 days=rng.uniform(params.known_onset_min_days,
@@ -352,7 +367,7 @@ def _malicious_transitions(
         # Retraction (the organic 1->0 channel) only for detections that
         # predate the window, keeping observed per-engine sequences
         # monotone — hazard flips stay as rare as the paper found them.
-        churn = engine.churn_for(category) * profile.churn_scale
+        churn = churn_weights[idx] * profile.churn_scale
         if onset <= first_seen and rng.random() < params.retract_prob * churn:
             raw = first_seen + clock.minutes(
                 days=rng.expovariate(1.0 / params.retract_mean_days)
@@ -458,14 +473,11 @@ def _apply_copy_rules(
     so the service can also correlate their timeout behaviour.
     """
     copied: dict[int, int] = {}
-    for idx in ctx.fleet.decision_order:
-        engine = ctx.fleet.engines[idx]
-        rule = engine.copies
-        if rule is None or not rule.applies_to(file_type, category):
+    for idx, rule, leader_idx in ctx.copy_rules:
+        if not rule.applies_to(file_type, category):
             continue
         if rng.random() >= rule.fidelity:
             continue  # follower keeps its independent behaviour
-        leader_idx = ctx.fleet.index[rule.leader]
         copied[idx] = leader_idx
         leader_timeline = transitions.get(leader_idx)
         if leader_timeline is None:

@@ -338,6 +338,17 @@ class EngineFleet:
             stride = max(1, round(engine.version_interval_days
                                   / engine.update_interval_days))
             self._version_schedules.append(schedule[::stride])
+        # Version epochs: the sorted union of every visible bump.  Between
+        # two consecutive epoch starts no engine bumps, so the whole
+        # version tuple is constant there; it is built on first use and
+        # shared by every report that falls in the epoch.
+        self._epoch_starts: list[int] = sorted(
+            set().union(*self._version_schedules))
+        self._epoch_versions: list[tuple[int, ...] | None] = (
+            [None] * (len(self._epoch_starts) + 1))
+        #: Per-engine participation probabilities, in fleet order.
+        self.activity: tuple[float, ...] = tuple(
+            e.activity for e in self.engines)
         # Decision order: leaders before followers, so a follower can read
         # its leader's already-computed verdict.
         followers = [i for i, e in enumerate(self.engines) if e.copies]
@@ -399,6 +410,21 @@ class EngineFleet:
         that actually delivers verdict changes.
         """
         return bisect_right(self._version_schedules[engine_idx], timestamp)
+
+    def versions_at(self, timestamp: int) -> tuple[int, ...]:
+        """Every engine's visible version at ``timestamp``, in fleet order.
+
+        One bisect over the epoch starts.  An epoch's tuple is built from
+        :meth:`version_at` on first use, then shared by every report that
+        falls in the epoch.
+        """
+        epoch = bisect_right(self._epoch_starts, timestamp)
+        versions = self._epoch_versions[epoch]
+        if versions is None:
+            versions = tuple(self.version_at(i, timestamp)
+                             for i in range(len(self.engines)))
+            self._epoch_versions[epoch] = versions
+        return versions
 
     def version_schedule(self, name: str) -> list[int]:
         """All visible version-bump timestamps for the named engine."""

@@ -35,6 +35,10 @@ from repro.vt.samples import Sample, validate_sha256
 
 ReportListener = Callable[[ScanReport], None]
 
+#: ``bytes(active).translate`` table: active (1) -> benign label 0,
+#: timed out (0) -> undetected label 2.
+_ACTIVE_TO_LABEL = bytes([2, 0]) + bytes(254)
+
 #: Fixed bucket edges for the per-report positives (AV-Rank) histogram.
 POSITIVES_EDGES: tuple[int, ...] = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 70)
 
@@ -140,32 +144,35 @@ class VirusTotalService:
         if sample.plan is None:
             sample.plan = build_plan(sample, self.ctx)
         plan = sample.plan
-        fleet = self.fleet
-        rng = plan.scan_rng
-        n = len(fleet)
-        labels = bytearray(n)
-        engines = fleet.engines
-        # Per-engine availability; one draw per engine keeps the sample's
-        # random stream aligned across scans.
-        active = [rng.random() < engines[idx].activity for idx in range(n)]
+        draw = plan.scan_rng.random
+        # Per-engine availability; one draw per engine, in fleet order,
+        # keeps the sample's random stream aligned across scans.
+        active = [draw() < activity for activity in self.fleet.activity]
         # OEM followers share infrastructure with their leader: when the
         # copy rule fired for this sample, the follower's availability
         # tracks the leader's most of the time (see DetectionPlan.copied).
-        for follower in sorted(plan.copied):
-            if rng.random() < self.COPIED_AVAILABILITY_FIDELITY:
-                active[follower] = active[plan.copied[follower]]
+        # One draw per fired rule, in ascending follower index.
+        fidelity = self.COPIED_AVAILABILITY_FIDELITY
+        for follower, leader in plan.copied.items():
+            if draw() < fidelity:
+                active[follower] = active[leader]
+        # Active engines answer benign (0) unless their timeline says
+        # otherwise; timed-out engines report undetected (2).
+        labels = bytearray(bytes(active)).translate(_ACTIVE_TO_LABEL)
+        total = active.count(True)
         positives = 0
-        total = 0
-        for idx in range(n):
+        for idx, timeline in plan.transitions.items():
             if not active[idx]:
-                labels[idx] = 2  # undetected / timeout
                 continue
-            total += 1
-            verdict = plan.label_at(idx, timestamp)
+            verdict = 0
+            for when, step in timeline:
+                if timestamp < when:
+                    break
+                verdict = step
             if verdict:
                 labels[idx] = 1
                 positives += 1
-        versions = tuple(fleet.version_at(i, timestamp) for i in range(n))
+        versions = self.fleet.versions_at(timestamp)
         previous_analysis = sample.last_analysis_date
         sample.record_analysis(timestamp)
         report = ScanReport(
@@ -220,10 +227,22 @@ class VirusTotalService:
         self._m_upload.inc()
         return self._analyze(sample, timestamp)
 
-    def rescan(self, sha256: str, timestamp: int) -> ScanReport:
-        """Re-analyse an existing file: only last_analysis_date moves."""
+    def rescan(self, sample: Sample | str, timestamp: int) -> ScanReport:
+        """Re-analyse an existing file: only last_analysis_date moves.
+
+        Takes a :class:`Sample` or its hash.  Either way the sample
+        registered under that hash is analysed; only a ``str`` is
+        validated first, since a ``Sample`` already carries a valid hash.
+        """
         self._m_rescan.inc()
-        return self._analyze(self.get_sample(sha256), timestamp)
+        if isinstance(sample, str):
+            sample = self.get_sample(sample)
+        else:
+            try:
+                sample = self._samples[sample.sha256]
+            except KeyError:
+                raise NotFoundError(sample.sha256) from None
+        return self._analyze(sample, timestamp)
 
     def report(self, sha256: str) -> ScanReport:
         """Return the most recent report without generating a new one."""

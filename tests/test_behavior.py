@@ -119,6 +119,11 @@ class TestPlanStructure:
         assert plan.label_at(3, 500) == 0
         assert plan.label_at(7, 100) == 0  # engine without transitions
 
+    def test_copied_is_held_in_ascending_follower_order(self):
+        plan = DetectionPlan(transitions={}, scan_rng=random.Random(0),
+                             copied={9: 1, 3: 2, 5: 1})
+        assert list(plan.copied.items()) == [(3, 2), (5, 1), (9, 1)]
+
     def test_transitions_time_sorted(self, ctx):
         for i in range(100):
             plan = build_plan(_sample(f"s{i}", True), ctx)

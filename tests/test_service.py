@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NotFoundError
+from repro.errors import InvalidHashError, NotFoundError
 from repro.vt import clock
 from repro.vt.samples import Sample, sha256_of
 from repro.vt.service import VirusTotalService
@@ -51,6 +51,10 @@ class TestAnalysis:
     def test_rescan_requires_known_sample(self, service):
         with pytest.raises(NotFoundError):
             service.rescan(sha256_of("ghost"), 100)
+
+    def test_rescan_of_unregistered_sample_raises(self, service):
+        with pytest.raises(NotFoundError):
+            service.rescan(_sample("ghost"), 100)
 
     def test_report_returns_latest_without_new_analysis(self, service):
         s = _sample()
@@ -154,3 +158,30 @@ class TestTable1Semantics:
         service.upload(s, s.first_seen)
         later = service.rescan(s.sha256, s.first_seen + 10_000)
         assert later.first_submission_date == s.first_seen
+
+    def test_rescan_by_sample_equals_rescan_by_hash(self):
+        def run(by_object: bool):
+            service = VirusTotalService(seed=3)
+            s = _sample()
+            service.upload(s, s.first_seen)
+            reports = []
+            for days in (1, 4, 9):
+                target = s if by_object else s.sha256
+                reports.append(service.rescan(
+                    target, s.first_seen + clock.minutes(days=days)))
+            return reports, (s.times_submitted, s.last_submission_date,
+                             s.last_analysis_date)
+
+        by_hash, fields_by_hash = run(by_object=False)
+        by_object, fields_by_object = run(by_object=True)
+        assert by_object == by_hash
+        assert fields_by_object == fields_by_hash
+        last = by_object[-1]
+        assert (last.times_submitted, last.last_submission_date,
+                last.last_analysis_date) == fields_by_object
+
+    def test_rescan_by_hash_still_validates(self, service):
+        s = _sample()
+        service.upload(s, s.first_seen)
+        with pytest.raises(InvalidHashError):
+            service.rescan("not-a-hash", s.first_seen + 10)
