@@ -2,11 +2,12 @@
 
 Two benches share this module:
 
-**Columnar ingest+scan throughput.**  The v3 columnar pipeline — array
+**Columnar ingest+scan throughput.**  The bulk columnar pipeline — array
 ingest (`ReportStore.ingest_arrays`), dictionary/delta block encoding
-and the `SeriesFrame` numpy kernels — against the row pipeline doing the
-same work with per-report `ScanReport` objects and the python analysis
-helpers.  Both legs run the identical paper workload (samples scanned in
+and the `SeriesFrame` numpy kernels — against the per-report pipeline
+doing the same work into the same store: one `ScanReport` per
+`ReportStore.ingest` call, then the python analysis helpers over
+decoded report objects.  Both legs run the identical paper workload (samples scanned in
 interleaved waves, ~14 reports per sample as in the 847 M / 60 M ratio
 of Table 2) and must agree on the store digest *and* on every analysis
 result before either wall-clock counts; the throughput ratio is the
@@ -135,7 +136,7 @@ def _columnar_leg(work, width: int, block_records: int) -> ReportStore:
         labels=labels.ravel(),
         versions=versions.ravel(),
     )
-    store = ReportStore(block_records=block_records, block_format="columnar")
+    store = ReportStore(block_records=block_records)
     store.ingest_arrays(batch)
     store.close()
     return store
@@ -159,8 +160,8 @@ def _columnar_scan(store: ReportStore, thresholds, top_types) -> tuple:
             len(diffs), int(diffs.sum()), int(intervals.sum()))
 
 
-def _row_leg(work, width: int, block_records: int) -> ReportStore:
-    """Per-report ingest through the row path."""
+def _per_report_leg(work, width: int, block_records: int) -> ReportStore:
+    """Per-report ingest: one ``ScanReport`` object per ``ingest`` call."""
     sample, times, sha_digests, ranks, ft_codes, fresh, labels, versions = work
     n = len(times)
     hexes = [sha_digests[i].tobytes().hex() for i in range(len(sha_digests))]
@@ -169,7 +170,7 @@ def _row_leg(work, width: int, block_records: int) -> ReportStore:
     sl, fl = sample.tolist(), ft_codes.tolist()
     lab_blob = labels.tobytes()
     vl = versions.tolist()
-    store = ReportStore(block_records=block_records, block_format="row")
+    store = ReportStore(block_records=block_records)
     for i in range(n):
         s = sl[i]
         store.ingest(ScanReport(
@@ -189,7 +190,7 @@ def _row_leg(work, width: int, block_records: int) -> ReportStore:
     return store
 
 
-def _row_scan(store: ReportStore, thresholds, top_types) -> tuple:
+def _per_report_scan(store: ReportStore, thresholds, top_types) -> tuple:
     """The same analysis suite over python AVRankSeries objects."""
     series = collect_series(store.iter_sample_reports())
     stable, dynamic = split_stable_dynamic(series)
@@ -226,7 +227,7 @@ def run_columnar_ab(n_samples: int = AB_SAMPLES,
     width = AB_WIDTH
     work = _ab_workload(n_samples, scans_each, width, seed)
     best = {"col_ingest": None, "col_scan": None,
-            "row_ingest": None, "row_scan": None}
+            "per_report_ingest": None, "per_report_scan": None}
 
     def keep(key: str, wall: float) -> None:
         if best[key] is None or wall < best[key]:
@@ -243,28 +244,28 @@ def run_columnar_ab(n_samples: int = AB_SAMPLES,
         keep("col_scan", time.perf_counter() - started)
 
         started = time.perf_counter()
-        row_store = _row_leg(work, width, block_records)
-        keep("row_ingest", time.perf_counter() - started)
+        pr_store = _per_report_leg(work, width, block_records)
+        keep("per_report_ingest", time.perf_counter() - started)
 
         started = time.perf_counter()
-        row_metrics = _row_scan(row_store, AB_THRESHOLDS, AB_TOP_TYPES)
-        keep("row_scan", time.perf_counter() - started)
+        pr_metrics = _per_report_scan(pr_store, AB_THRESHOLDS, AB_TOP_TYPES)
+        keep("per_report_scan", time.perf_counter() - started)
 
         digest = col_store.digest()
-        if digest != row_store.digest():
-            raise AssertionError("columnar digest diverged from row")
-        if list(col_metrics)[:9] != list(row_metrics)[:9]:
+        if digest != pr_store.digest():
+            raise AssertionError("columnar digest diverged from per-report")
+        if list(col_metrics)[:9] != list(pr_metrics)[:9]:
             raise AssertionError(
-                f"analysis mismatch: {col_metrics} != {row_metrics}")
-        # The row leg accumulates intervals in float days; allow one
-        # minute of rounding drift on the sum.
-        if abs(col_metrics[9] - row_metrics[9]) > 1:
+                f"analysis mismatch: {col_metrics} != {pr_metrics}")
+        # The per-report leg accumulates intervals in float days; allow
+        # one minute of rounding drift on the sum.
+        if abs(col_metrics[9] - pr_metrics[9]) > 1:
             raise AssertionError(
-                f"interval sum drift: {col_metrics[9]} vs {row_metrics[9]}")
+                f"interval sum drift: {col_metrics[9]} vs {pr_metrics[9]}")
 
     n_reports = n_samples * scans_each
     col_wall = best["col_ingest"] + best["col_scan"]
-    row_wall = best["row_ingest"] + best["row_scan"]
+    pr_wall = best["per_report_ingest"] + best["per_report_scan"]
     return {
         "schema": RESULTS_SCHEMA,
         "suite": "store_columnar",
@@ -285,40 +286,44 @@ def run_columnar_ab(n_samples: int = AB_SAMPLES,
              "reports_per_second": round(n_reports / best["col_ingest"])},
             {"name": "columnar_scan", "wall_seconds": round(best["col_scan"], 4),
              "reports_per_second": round(n_reports / best["col_scan"])},
-            {"name": "row_ingest", "wall_seconds": round(best["row_ingest"], 4),
-             "reports_per_second": round(n_reports / best["row_ingest"])},
-            {"name": "row_scan", "wall_seconds": round(best["row_scan"], 4),
-             "reports_per_second": round(n_reports / best["row_scan"])},
+            {"name": "per_report_ingest",
+             "wall_seconds": round(best["per_report_ingest"], 4),
+             "reports_per_second": round(n_reports
+                                         / best["per_report_ingest"])},
+            {"name": "per_report_scan",
+             "wall_seconds": round(best["per_report_scan"], 4),
+             "reports_per_second": round(n_reports
+                                         / best["per_report_scan"])},
         ],
         "speedup": {
-            "ingest": round(best["row_ingest"] / best["col_ingest"], 2),
-            "scan": round(best["row_scan"] / best["col_scan"], 2),
-            "combined": round(row_wall / col_wall, 2),
+            "ingest": round(best["per_report_ingest"] / best["col_ingest"], 2),
+            "scan": round(best["per_report_scan"] / best["col_scan"], 2),
+            "combined": round(pr_wall / col_wall, 2),
         },
         "dataset_digest": digest,
-        "digest_matches_row": True,
-        "metrics_match_row": True,
+        "digest_matches_per_report": True,
+        "metrics_match_per_report": True,
     }
 
 
 def render_columnar(results: dict) -> None:
     scenario = results["scenario"]
     say()
-    say(f"Columnar vs row ingest+scan bench "
+    say(f"Columnar vs per-report ingest+scan bench "
         f"(n={scenario['reports']:,} reports, "
         f"{scenario['n_samples']:,} samples x {scenario['scans_each']}, "
         f"{scenario['engines']} engines, block={scenario['block_records']}, "
         f"best of {scenario['reps_best_of']})")
     walls = {e["name"]: e["wall_seconds"] for e in results["benchmarks"]}
-    say(f"  columnar : ingest {walls['columnar_ingest']:7.3f}s  "
+    say(f"  columnar   : ingest {walls['columnar_ingest']:7.3f}s  "
         f"scan {walls['columnar_scan']:7.3f}s")
-    say(f"  row      : ingest {walls['row_ingest']:7.3f}s  "
-        f"scan {walls['row_scan']:7.3f}s")
+    say(f"  per-report : ingest {walls['per_report_ingest']:7.3f}s  "
+        f"scan {walls['per_report_scan']:7.3f}s")
     sp = results["speedup"]
-    say(f"  speedup  : ingest {sp['ingest']:5.1f}x  scan {sp['scan']:5.1f}x  "
-        f"combined {sp['combined']:5.1f}x")
-    say(f"  digest   : {results['dataset_digest'][:16]}… "
-        f"(row and columnar identical, all analyses equal)")
+    say(f"  speedup    : ingest {sp['ingest']:5.1f}x  "
+        f"scan {sp['scan']:5.1f}x  combined {sp['combined']:5.1f}x")
+    say(f"  digest     : {results['dataset_digest'][:16]}… "
+        f"(per-report and columnar identical, all analyses equal)")
 
 
 def test_columnar_throughput(benchmark):
@@ -332,8 +337,8 @@ def test_columnar_throughput(benchmark):
         benchmark,
         lambda: run_columnar_ab(n_samples=600, scans_each=8, reps=1))
     render_columnar(results)
-    assert results["digest_matches_row"]
-    assert results["metrics_match_row"]
+    assert results["digest_matches_per_report"]
+    assert results["metrics_match_per_report"]
     assert results["speedup"]["combined"] >= 2.0
 
 
@@ -424,7 +429,8 @@ def test_streaming_memory_bound(benchmark):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark the columnar (v3) store hot path against "
-                    "the row pipeline and write a schema'd results file.")
+                    "the per-report pipeline and write a schema'd results "
+                    "file.")
     parser.add_argument("--samples", type=int, default=AB_SAMPLES,
                         help=f"sample count (default: {AB_SAMPLES})")
     parser.add_argument("--scans-each", type=int, default=AB_SCANS_EACH,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.core.avrank import AVRankSeries, collect_series, select_dataset_s
+from repro.core.avrank import AVRankSeries, select_dataset_s
 from repro.obs import get_registry
 from repro.parallel.sharding import resolve_workers
 from repro.store.merge import MergeStats
@@ -66,20 +66,16 @@ class ExperimentData:
     def series(self) -> list[AVRankSeries]:
         """AV-Rank series for every sample (cached).
 
-        Built from the store's streaming block-order pass, so the full
-        report set is never resident at once — only the compact series.
-        On a columnar store the pass runs through the numpy kernels
+        Built from the store's streaming block-order pass through the
+        numpy kernels
         (:meth:`~repro.store.reportstore.ReportStore.series_frame`),
-        which skip the per-engine planes entirely; the result is
-        bit-identical to the row path (the differential harness in
-        ``tests/test_store_columnar.py`` pins this).
+        which skip the per-engine planes entirely, so neither the full
+        report set nor a per-report object is ever resident.  The result
+        is bit-identical to ``collect_series(store.iter_sample_reports())``
+        (``tests/test_store_columnar.py`` pins this).
         """
         if self._series is None:
-            if self.store.block_format == "columnar":
-                self._series = self.store.series_frame().to_series()
-            else:
-                self._series = collect_series(
-                    self.store.iter_sample_reports())
+            self._series = self.store.series_frame().to_series()
         return self._series
 
     def store_cache_stats(self):

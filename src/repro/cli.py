@@ -36,7 +36,6 @@ Exit codes are uniform across subcommands (pytest convention):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -46,7 +45,8 @@ from repro.analysis import dynamics as dynamics_mod
 from repro.analysis import engines as engines_mod
 from repro.analysis import rendering, stabilization as stab_mod
 from repro.analysis.experiment import ExperimentData, run_experiment
-from repro.core.avrank import collect_series, select_dataset_s
+# perfbench/tracer.py wraps these two names on this module, so they stay.
+from repro.core.avrank import collect_series, select_dataset_s  # noqa: F401
 from repro.obs import (
     MetricsRegistry,
     jsonl_lines,
@@ -59,7 +59,6 @@ from repro.store.reportstore import ReportStore
 from repro.synth.scenario import dynamics_scenario, paper_scenario
 from repro.vt.feed import DEFAULT_ARCHIVE_RETENTION_MINUTES
 from repro.vt.engines import default_fleet
-from repro.vt.filetypes import TOP20_FILE_TYPES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store", metavar="PATH",
                         help="load reports from a saved store instead of "
                              "generating")
-    parser.add_argument("--store-format", choices=("columnar", "row"),
-                        default="columnar",
-                        help="block layout for generated stores: columnar "
-                             "(v3, the fast path) or row (v2 legacy); the "
-                             "canonical digest is identical either way "
-                             "(default: columnar)")
     parser.add_argument("--workers", metavar="N|auto", default="1",
                         help="shard the scenario across N worker processes "
                              "('auto' = CPU count, capped by "
@@ -223,12 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace):
     if args.scenario == "paper":
-        config = paper_scenario(n_samples=args.samples, seed=args.seed)
-    else:
-        config = dynamics_scenario(n_samples=args.samples, seed=args.seed)
-    if config.block_format != args.store_format:
-        config = dataclasses.replace(config, block_format=args.store_format)
-    return config
+        return paper_scenario(n_samples=args.samples, seed=args.seed)
+    return dynamics_scenario(n_samples=args.samples, seed=args.seed)
 
 
 def _data(args: argparse.Namespace, metrics=None) -> ExperimentData:
@@ -297,11 +286,6 @@ def _workers(args: argparse.Namespace) -> int | str:
         ) from exc
 
 
-def _series_and_s(data: ExperimentData):
-    series = collect_series(data.store.iter_sample_reports())
-    return series, select_dataset_s(series, frozenset(TOP20_FILE_TYPES))
-
-
 def cmd_overview(data: ExperimentData) -> None:
     print(rendering.render_table2(data.store.stats()))
     print()
@@ -313,7 +297,7 @@ def cmd_overview(data: ExperimentData) -> None:
 
 
 def cmd_dynamics(data: ExperimentData) -> None:
-    series, dataset_s = _series_and_s(data)
+    series, dataset_s = data.series(), data.dataset_s
     print(rendering.render_fig2(dynamics_mod.stable_dynamic_split(series)))
     print()
     print(rendering.render_fig3_fig4(
@@ -329,7 +313,7 @@ def cmd_dynamics(data: ExperimentData) -> None:
 
 
 def cmd_stabilization(data: ExperimentData) -> None:
-    _, dataset_s = _series_and_s(data)
+    dataset_s = data.dataset_s
     print(rendering.render_obs8(
         stab_mod.avrank_stabilization_profile(dataset_s)))
     print()

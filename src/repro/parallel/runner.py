@@ -99,8 +99,7 @@ def merge_shard_runs(
                    if config.store_cache_bytes is not None
                    else DEFAULT_CACHE_BYTES)
     return concat_frozen(sources, block_records=config.block_records,
-                         cache_bytes=cache_bytes, metrics=metrics,
-                         block_format=config.block_format)
+                         cache_bytes=cache_bytes, metrics=metrics)
 
 
 def run_parallel(
@@ -164,8 +163,7 @@ def run_parallel(
                    if config.store_cache_bytes is not None
                    else DEFAULT_CACHE_BYTES)
     streaming = StreamingMerge(block_records=config.block_records,
-                               cache_bytes=cache_bytes, metrics=metrics,
-                               block_format=config.block_format)
+                               cache_bytes=cache_bytes, metrics=metrics)
     snapshots: dict[int, object] = {}
     events_total = 0
 

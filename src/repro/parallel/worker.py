@@ -119,8 +119,7 @@ def execute_range(
         fleet = default_fleet(config.seed)
     service = VirusTotalService(fleet=fleet, params=config.behavior,
                                 seed=config.seed, metrics=metrics)
-    store_kwargs = {"block_records": config.block_records,
-                    "block_format": config.block_format}
+    store_kwargs = {"block_records": config.block_records}
     if config.store_cache_bytes is not None:
         store_kwargs["cache_bytes"] = config.store_cache_bytes
     store = ReportStore(metrics=metrics, **store_kwargs)

@@ -7,21 +7,12 @@ record codec (:mod:`repro.store.codec`), monthly shards of zlib-compressed
 record blocks (:mod:`repro.store.shard`), and :class:`ReportStore`
 (:mod:`repro.store.reportstore`) which adds the per-sample index and the
 Table 2 style accounting (:mod:`repro.store.stats`).  Blocks freeze in
-either the row layout or the columnar RPR3 layout
-(:mod:`repro.store.columnar`), whose batches back the numpy analysis
-kernels.
+the columnar RPR3 layout (:mod:`repro.store.columnar`), whose batches
+back the numpy analysis kernels.
 """
 
 from repro.store.cache import BlockCache, CacheStats
-from repro.store.codec import (
-    BLOCK_FORMAT_COLUMNAR,
-    BLOCK_FORMAT_ROW,
-    BLOCK_FORMATS,
-    decode_report,
-    encode_report,
-    resolve_block_format,
-    verbose_json_size,
-)
+from repro.store.codec import decode_report, encode_report, verbose_json_size
 from repro.store.columnar import ColumnarBatch, SeriesFrame
 from repro.store.index import IndexEntry, decode_index, encode_index, sample_ranks
 from repro.store.merge import FrozenMonth, FrozenShard, MergeStats, concat_frozen
@@ -31,14 +22,10 @@ from repro.store.shard import CompressedBlock, MonthlyShard
 from repro.store.stats import MonthStats, StoreStats
 
 __all__ = [
-    "BLOCK_FORMAT_COLUMNAR",
-    "BLOCK_FORMAT_ROW",
-    "BLOCK_FORMATS",
     "ColumnarBatch",
     "SeriesFrame",
     "decode_report",
     "encode_report",
-    "resolve_block_format",
     "sample_ranks",
     "verbose_json_size",
     "decode_index",

@@ -5,7 +5,10 @@ only the fields its analyses need, (ii) splitting rarely-changing sample
 metadata from per-scan results, and (iii) compressing.  This codec is step
 (i) and (ii): a :class:`~repro.vt.reports.ScanReport` becomes a compact
 struct-packed record; step (iii), zlib over blocks of records, lives in
-:mod:`repro.store.shard`.
+:mod:`repro.store.shard`.  A block frames its records in the columnar
+RPR3 layout of :mod:`repro.store.columnar` (dictionary/delta-encoded
+columns), which decodes back to the identical record bytes, so the store
+digest is a function of the records alone.
 
 For the Table 2 accounting ("GB of raw reports per month") the codec can
 also *estimate* the size the same report would occupy as the verbose JSON
@@ -28,26 +31,6 @@ from repro.vt.reports import ScanReport
 #: Fixed header: scan_time, positives, total, first/last submission,
 #: last_analysis, times_submitted, n_engines, file-type length.
 _HEADER = struct.Struct("<qHHqqqIHH")
-
-_MAGIC = b"RPR1"
-
-#: Block layouts a shard can freeze records into.  ``row`` is the
-#: original RPR1 framing (one length-prefixed record after another);
-#: ``columnar`` is the RPR3 layout of :mod:`repro.store.columnar`
-#: (dictionary/delta-encoded columns).  Both decode back to identical
-#: record bytes, so the store digest is layout-independent.
-BLOCK_FORMAT_ROW = "row"
-BLOCK_FORMAT_COLUMNAR = "columnar"
-BLOCK_FORMATS = (BLOCK_FORMAT_ROW, BLOCK_FORMAT_COLUMNAR)
-
-
-def resolve_block_format(value: str) -> str:
-    """Validate a block-format name (the config/CLI entry point)."""
-    if value not in BLOCK_FORMATS:
-        raise CorruptRecordError(
-            f"unknown block format {value!r}; expected one of {BLOCK_FORMATS}")
-    return value
-
 
 def encode_report(report: ScanReport) -> bytes:
     """Pack a report into the compact binary record format."""
@@ -181,69 +164,17 @@ def render_verbose_json(report: ScanReport, engine_names: Sequence[str]) -> str:
     return json.dumps(doc)
 
 
-def encode_block(records: list[bytes],
-                 block_format: str = BLOCK_FORMAT_ROW) -> bytes:
-    """Frame a list of records into one uncompressed block payload.
+def encode_block(records: list[bytes]) -> bytes:
+    """Frame a list of records into one uncompressed columnar payload.
 
-    ``block_format`` selects the layout; either way
     :func:`decode_block` recovers the identical record bytes.
     """
-    if block_format == BLOCK_FORMAT_COLUMNAR:
-        return columnar.encode_columnar(
-            columnar.ColumnarBatch.from_records(records))
-    if block_format != BLOCK_FORMAT_ROW:
-        raise CorruptRecordError(f"unknown block format {block_format!r}")
-    parts = [_MAGIC, struct.pack("<I", len(records))]
-    for record in records:
-        parts.append(struct.pack("<I", len(record)))
-        parts.append(record)
-    return b"".join(parts)
+    return columnar.encode_columnar(columnar.ColumnarBatch.from_records(records))
 
 
 def decode_block(payload: bytes) -> list[bytes]:
-    """Split a block payload back into its records.
-
-    Dispatches on the payload magic, so row (RPR1) and columnar (RPR3)
-    blocks are both accepted transparently.
-    """
-    if payload[:4] == columnar.COLUMNAR_MAGIC:
-        return columnar.decode_columnar_records(payload)
-    if payload[:4] != _MAGIC:
-        raise CorruptRecordError("bad block magic")
-    (count,) = struct.unpack_from("<I", payload, 4)
-    offset = 8
-    records = []
-    for _ in range(count):
-        if offset + 4 > len(payload):
-            raise CorruptRecordError("truncated block")
-        (size,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        record = payload[offset:offset + size]
-        if len(record) != size:
-            raise CorruptRecordError("truncated record in block")
-        records.append(record)
-        offset += size
-    return records
-
-
-def block_format_of(payload: bytes) -> str:
-    """The layout of an uncompressed block payload, by magic."""
-    if payload[:4] == columnar.COLUMNAR_MAGIC:
-        return BLOCK_FORMAT_COLUMNAR
-    if payload[:4] == _MAGIC:
-        return BLOCK_FORMAT_ROW
-    raise CorruptRecordError("bad block magic")
-
-
-def decode_batch(payload: bytes) -> "columnar.ColumnarBatch":
-    """Decode an uncompressed block payload into a columnar batch.
-
-    Row blocks are bulk-parsed into columns; columnar blocks decode
-    natively.
-    """
-    if payload[:4] == columnar.COLUMNAR_MAGIC:
-        return columnar.decode_columnar(payload)
-    return columnar.ColumnarBatch.from_records(decode_block(payload))
+    """Split a columnar block payload back into its records."""
+    return columnar.decode_columnar_records(payload)
 
 
 def _partial_decompress(compressed, limit: int) -> bytes:
@@ -264,31 +195,19 @@ def _partial_decompress(compressed, limit: int) -> bytes:
     return b"".join(chunks)
 
 
-def peek_block_format(compressed) -> str:
-    """The layout of a *compressed* block, decompressing only the magic."""
-    try:
-        head = _partial_decompress(compressed, 4)
-    except zlib.error as exc:
-        raise CorruptRecordError(f"undecodable block: {exc}") from exc
-    return block_format_of(head)
-
-
 def decode_compressed_batch(compressed,
                             planes: bool = True) -> "columnar.ColumnarBatch":
     """Decode a zlib-compressed block payload into a columnar batch.
 
-    With ``planes=False`` on a columnar block, only the prefix holding
-    the fixed columns is decompressed — the label/version planes, which
-    dominate the decompressed size, are never inflated.  This is the
-    fast path under the streaming series kernels.  Row blocks always
-    decompress fully (their layout interleaves everything).
+    With ``planes=False`` only the prefix holding the fixed columns is
+    decompressed — the label/version planes, which dominate the
+    decompressed size, are never inflated.  This is the fast path under
+    the streaming series kernels.
     """
     try:
         if planes:
-            return decode_batch(zlib.decompress(compressed))
+            return columnar.decode_columnar(zlib.decompress(compressed))
         head = _partial_decompress(compressed, columnar.META_PREFIX_PROBE)
-        if head[:4] != columnar.COLUMNAR_MAGIC:
-            return decode_batch(zlib.decompress(compressed))
         meta_end = columnar.meta_section_end(head)
         if meta_end > len(head):
             head += _partial_decompress(compressed, meta_end)[len(head):]

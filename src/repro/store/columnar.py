@@ -22,11 +22,10 @@ element per record — instead of per-report python objects.  The analysis
 kernels in :class:`SeriesFrame` (AV-Rank series grouping, the paper's
 stable/dynamic split, the δ/Δ extractions of §5.1-5.3) then run as
 vectorised array passes, and :meth:`ColumnarBatch.to_records` rebuilds
-the exact row-format record bytes, which is what keeps
-:meth:`~repro.store.reportstore.ReportStore.digest` bit-identical across
-the row and columnar paths.
+the exact row-format record bytes (:func:`repro.store.codec.encode_report`),
+which is what :meth:`~repro.store.reportstore.ReportStore.digest` hashes.
 
-Everything here must satisfy the same corruption contract as the row
+Everything here must satisfy the same corruption contract as the record
 codec: any truncated, bit-flipped or out-of-range payload surfaces
 :class:`~repro.errors.CorruptRecordError`, never ``struct.error`` or
 ``IndexError``.
@@ -45,7 +44,7 @@ from repro.errors import BlockAddressError, CorruptRecordError
 from repro.vt.clock import COLLECTION_MONTHS, MONTH_STARTS
 from repro.vt.reports import ScanReport
 
-#: Magic prefix of a columnar block payload (the row format uses RPR1).
+#: Magic prefix of a block payload.
 COLUMNAR_MAGIC = b"RPR3"
 
 #: Fixed block header: magic, record count, total engine entries,

@@ -34,7 +34,6 @@ from typing import Sequence
 
 from repro.errors import ConfigError
 from repro.obs import traced
-from repro.store import codec
 from repro.store.cache import DEFAULT_CACHE_BYTES
 from repro.store.reportstore import ReportStore
 from repro.store.shard import DEFAULT_BLOCK_RECORDS, CompressedBlock, MonthlyShard
@@ -150,8 +149,7 @@ class MergeStats:
     blocks_recompressed: int
 
 
-def _merge_streams(streams, block_records, on_record, on_block,
-                   block_format=codec.BLOCK_FORMAT_ROW):
+def _merge_streams(streams, block_records, on_record, on_block):
     """The K-way merge core, shared by every merge entry point.
 
     ``on_record(stream, at, block_idx, slot)`` fires once per record in
@@ -163,9 +161,7 @@ def _merge_streams(streams, block_records, on_record, on_block,
     merged record sequence — *not* of how the sources were blocked or
     grouped.  That invariant is what lets the streaming merge fold runs
     in completion order and still converge on the serial store bit for
-    bit.  Re-blocked output freezes in ``block_format``; spliced blocks
-    keep the layout their source froze them in (when sources share the
-    target layout — the normal case — the output is uniform).
+    bit.
 
     Returns ``(spliced, decompressed, recompressed)`` block counts.
     """
@@ -193,7 +189,7 @@ def _merge_streams(streams, block_records, on_record, on_block,
             on_record(stream, stream.pos, n_blocks, len(buffer))
             buffer.append(stream.take_record())
             if len(buffer) >= block_records:
-                on_block(CompressedBlock.from_records(buffer, block_format))
+                on_block(CompressedBlock.from_records(buffer))
                 n_blocks += 1
                 recompressed += 1
                 buffer = []
@@ -202,7 +198,7 @@ def _merge_streams(streams, block_records, on_record, on_block,
             decompressed += stream.blocks_decompressed
             streams.remove(stream)
     if buffer:
-        on_block(CompressedBlock.from_records(buffer, block_format))
+        on_block(CompressedBlock.from_records(buffer))
         recompressed += 1
     return spliced, decompressed, recompressed
 
@@ -213,7 +209,6 @@ def concat_frozen(
     block_records: int = DEFAULT_BLOCK_RECORDS,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
     metrics=None,
-    block_format: str = codec.BLOCK_FORMAT_COLUMNAR,
 ) -> tuple[ReportStore, MergeStats]:
     """Merge frozen shards into one sealed store, in global key order.
 
@@ -224,7 +219,7 @@ def concat_frozen(
     identical canonical digest and an identical ``save()`` file.
     """
     store = ReportStore(block_records=block_records, cache_bytes=cache_bytes,
-                        metrics=metrics, block_format=block_format)
+                        metrics=metrics)
     months = sorted({m for src in sources for m in src.months})
     total_records = 0
     spliced = decompressed = recompressed = 0
@@ -236,8 +231,7 @@ def concat_frozen(
             for src in present
             if src.months[month].report_count
         ]
-        dest = MonthlyShard(month, block_records=block_records,
-                            block_format=store.block_format)
+        dest = MonthlyShard(month, block_records=block_records)
         dest.report_count = sum(src.months[month].report_count
                                 for src in present)
         dest.verbose_bytes = sum(src.months[month].verbose_bytes
@@ -259,8 +253,7 @@ def concat_frozen(
                 store._sample_meta[sha] = stream.meta[sha]
 
         s, d, r = _merge_streams(streams, block_records,
-                                 register, dest.blocks.append,
-                                 store.block_format)
+                                 register, dest.blocks.append)
         spliced += s
         decompressed += d
         recompressed += r
@@ -281,7 +274,6 @@ def concat_frozen(
 def merge_frozen(
     sources: Sequence[FrozenShard],
     block_records: int = DEFAULT_BLOCK_RECORDS,
-    block_format: str = codec.BLOCK_FORMAT_COLUMNAR,
 ) -> tuple[FrozenShard, MergeStats]:
     """Merge frozen shards into one *frozen shard*, in global key order.
 
@@ -317,7 +309,7 @@ def merge_frozen(
                 sample_meta[sha] = stream.meta[sha]
 
         s, d, r = _merge_streams(streams, block_records,
-                                 collect, blocks.append, block_format)
+                                 collect, blocks.append)
         spliced += s
         decompressed += d
         recompressed += r
@@ -367,12 +359,10 @@ class StreamingMerge:
 
     def __init__(self, block_records: int = DEFAULT_BLOCK_RECORDS,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
-                 metrics=None,
-                 block_format: str = codec.BLOCK_FORMAT_COLUMNAR) -> None:
+                 metrics=None) -> None:
         self._block_records = block_records
         self._cache_bytes = cache_bytes
         self._metrics = metrics
-        self._block_format = codec.resolve_block_format(block_format)
         self._runs: list[FrozenShard] = []
         self._counts: list[int] = []
         self._spliced = 0
@@ -392,8 +382,7 @@ class StreamingMerge:
         while (len(self._runs) > 1
                and self._counts[-2] <= 2 * self._counts[-1]):
             merged, stats = merge_frozen(self._runs[-2:],
-                                         block_records=self._block_records,
-                                         block_format=self._block_format)
+                                         block_records=self._block_records)
             self._runs[-2:] = [merged]
             self._counts[-2:] = [stats.records]
             self._spliced += stats.blocks_spliced
@@ -406,8 +395,7 @@ class StreamingMerge:
         store, stats = concat_frozen(self._runs,
                                      block_records=self._block_records,
                                      cache_bytes=self._cache_bytes,
-                                     metrics=self._metrics,
-                                     block_format=self._block_format)
+                                     metrics=self._metrics)
         self._runs = []
         self._counts = []
         return store, MergeStats(

@@ -11,14 +11,13 @@ blocks, and maintains two index structures the paper's pipeline also kept:
   optimisation from §4.1.
 
 The store can persist itself to a single file and reload it; the on-disk
-format is self-describing (JSON header + length-prefixed compressed
-blocks).  Since format v2 the per-sample index — addresses *and* scan
-times (:mod:`repro.store.index`) — is persisted right after the header,
-so loading touches no blocks and a point lookup
-(:meth:`latest_report` / :meth:`report_series`) decodes at most the
-blocks actually holding the sample's reports.  v1 files, which carry no
-index section, still load: the index is then rebuilt lazily from cheap
-record peeks on first per-sample access.
+format (version 3) is self-describing: a JSON header, the per-sample
+index — addresses *and* scan times (:mod:`repro.store.index`) — and then
+length-prefixed compressed columnar blocks.  Loading touches no blocks,
+and a point lookup (:meth:`latest_report` / :meth:`report_series`)
+decodes at most the blocks actually holding the sample's reports.
+Files of any other version, or without an index section, are rejected
+with :class:`~repro.errors.CorruptRecordError`.
 
 Retrieval is **write-aware and memory-bounded**: the decoded-block LRU
 (:mod:`repro.store.cache`) admits only immutable frozen blocks — reads
@@ -63,22 +62,9 @@ from repro.vt.clock import month_index, month_label
 from repro.vt.reports import ScanReport
 
 _FILE_MAGIC = b"RPRSTORE"
-#: Current on-disk format: v3 freezes blocks in the columnar layout
-#: (v2 introduced the embedded point-lookup index section, which v3
-#: keeps unchanged).
+#: The on-disk format, the only one :meth:`ReportStore.load` accepts:
+#: columnar blocks plus the embedded point-lookup index section.
 _FILE_VERSION = 3
-#: Formats :meth:`ReportStore.load` accepts.  v1 (the original format)
-#: has no index section — the index is rebuilt lazily instead; v2 is
-#: row blocks plus the index; v3 is columnar blocks plus the index.
-_SUPPORTED_VERSIONS = (1, 2, 3)
-
-#: File version each block layout saves as by default.
-_VERSION_OF_FORMAT = {codec.BLOCK_FORMAT_ROW: 2,
-                      codec.BLOCK_FORMAT_COLUMNAR: 3}
-#: Block layout implied by each file version.
-_FORMAT_OF_VERSION = {1: codec.BLOCK_FORMAT_ROW,
-                      2: codec.BLOCK_FORMAT_ROW,
-                      3: codec.BLOCK_FORMAT_COLUMNAR}
 
 Address = tuple[int, int, int]  # (month, block, slot)
 
@@ -114,10 +100,8 @@ class ReportStore:
         block_records: int = DEFAULT_BLOCK_RECORDS,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         metrics=None,
-        block_format: str = codec.BLOCK_FORMAT_COLUMNAR,
     ) -> None:
         self.block_records = block_records
-        self.block_format = codec.resolve_block_format(block_format)
         #: Keeps a memory-mapped file (and its buffer) alive for stores
         #: loaded with ``mmap=True``; block payloads are views into it.
         self._mmap = None
@@ -125,8 +109,8 @@ class ReportStore:
         self._index: dict[str, list[IndexEntry]] = {}
         self._sample_meta: dict[str, tuple[str, bool]] = {}
         self._scan_index: dict[str, set[int]] = {}
-        #: False only on a store loaded from a v1 file, until the first
-        #: per-sample access triggers the lazy rebuild.
+        #: False after :meth:`ingest_arrays`, until the first per-sample
+        #: access triggers the lazy rebuild.
         self._index_ready = True
         self._cache = BlockCache(max_bytes=cache_bytes)
         self._blocks_decoded = 0
@@ -221,7 +205,7 @@ class ReportStore:
         Digest-equivalent to ingesting ``batch``'s reports one by one in
         row order.
 
-        Index maintenance is deferred (like a v1 load): the per-sample
+        Index maintenance is deferred: the per-sample
         index rebuilds lazily on the first per-sample access instead of
         being updated record by record, which is what keeps this path
         fast for analytics ingest.
@@ -282,15 +266,13 @@ class ReportStore:
     def _shard(self, month: int) -> MonthlyShard:
         shard = self.shards.get(month)
         if shard is None:
-            shard = MonthlyShard(month, block_records=self.block_records,
-                                 block_format=self.block_format)
+            shard = MonthlyShard(month, block_records=self.block_records)
             self.shards[month] = shard
         return shard
 
     def _invalidate_block(self, month: int, block_idx: int) -> None:
-        """Drop both cached decodes (records and batch) of one block."""
+        """Drop the cached decode of one block."""
         self._cache.invalidate((month, block_idx))
-        self._cache.invalidate((month, block_idx, "batch"))
 
     # ------------------------------------------------------------------
     # Accounting
@@ -370,33 +352,6 @@ class ReportStore:
         except KeyError:
             raise UnknownSampleError(sha256) from None
 
-    def _block(self, month: int, block_idx: int) -> list[bytes]:
-        """Decoded records of one block, write-aware.
-
-        Frozen blocks are immutable, so their decodes are cached in the
-        bytes-bounded LRU.  An index at or past ``len(shard.blocks)``
-        addresses the *open* buffer of a live shard: that read is served
-        straight from the shard (a live view, not a snapshot) and is
-        never cached — caching it was the stale-read bug this layer
-        exists to prevent.
-        """
-        shard = self.shards[month]
-        if block_idx >= len(shard.blocks):
-            self._open_reads += 1
-            self._m_open_reads.inc()
-            return shard.block_records_at(block_idx)
-        key = (month, block_idx)
-        records = self._cache.get(key)
-        if records is None:
-            records = shard.blocks[block_idx].records()
-            self._blocks_decoded += 1
-            self._m_cache_misses.inc()
-            self._m_decoded.inc()
-            self._cache.put(key, records)
-        else:
-            self._m_cache_hits.inc()
-        return records
-
     def _entries(self, sha256: str) -> list[IndexEntry]:
         self._ensure_index()
         try:
@@ -419,9 +374,8 @@ class ReportStore:
             by_block.setdefault((month, block), []).append(slot)
         reports = []
         for (month, block), slots in sorted(by_block.items()):
-            records = self._block(month, block)
-            for slot in slots:
-                reports.append(codec.decode_report(records[slot]))
+            batch = self._batch(month, block)
+            reports.extend(batch.report(slot) for slot in slots)
         reports.sort(key=lambda r: r.scan_time)
         return reports
 
@@ -432,9 +386,12 @@ class ReportStore:
     def _batch(self, month: int, block_idx: int) -> ColumnarBatch:
         """Decoded columnar batch of one block, write-aware.
 
-        The batch analogue of :meth:`_block`: frozen-block batches are
-        cached (under a key distinct from the record-list decode), open
-        buffers are bulk-parsed live and never cached.
+        Frozen blocks are immutable, so their decodes are cached in the
+        bytes-bounded LRU.  An index at or past ``len(shard.blocks)``
+        addresses the *open* buffer of a live shard: that read is
+        bulk-parsed straight from the shard (a live view, not a snapshot)
+        and is never cached — caching it was the stale-read bug this
+        layer exists to prevent.
         """
         shard = self.shards[month]
         if block_idx >= len(shard.blocks):
@@ -442,7 +399,7 @@ class ReportStore:
             self._m_open_reads.inc()
             return ColumnarBatch.from_records(
                 shard.block_records_at(block_idx))
-        key = (month, block_idx, "batch")
+        key = (month, block_idx)
         batch = self._cache.get(key)
         if batch is None:
             batch = shard.blocks[block_idx].batch()
@@ -464,14 +421,11 @@ class ReportStore:
         on the scan minute resolve to the last-ingested report, matching
         the final element of :meth:`report_series`.
 
-        On a columnar store the block decodes straight to arrays and
-        only the hit slot is materialised; row stores keep the record
-        path.
+        The block decodes straight to arrays and only the hit slot is
+        materialised.
         """
         month, block, slot, _ = latest_entry(self._entries(sha256))
-        if self.block_format == codec.BLOCK_FORMAT_COLUMNAR:
-            return self._batch(month, block).report(slot)
-        return codec.decode_report(self._block(month, block)[slot])
+        return self._batch(month, block).report(slot)
 
     def iter_reports(self) -> Iterator[ScanReport]:
         """All reports, month by month in ingest order."""
@@ -548,7 +502,7 @@ class ReportStore:
         if self._index_ready:
             return SeriesFrame.from_batches(self.iter_batches(planes=False),
                                             sample_ranks(self._index))
-        # Deferred index (bulk ingest / v1 load): a rebuilt index would
+        # Deferred index (bulk ingest): a rebuilt index would
         # rank samples by first occurrence in exactly the stream order
         # from_batches sees, so the rebuild can be skipped outright.
         return SeriesFrame.from_batches(self.iter_batches(planes=False))
@@ -615,8 +569,7 @@ class ReportStore:
     # ------------------------------------------------------------------
 
     @traced("store.save.seconds")
-    def save(self, path: str | Path, *, include_index: bool = True,
-             format_version: int | None = None) -> None:
+    def save(self, path: str | Path) -> None:
         """Write the store to a single self-describing file.
 
         Non-mutating: saving a live (unclosed) store is a pure snapshot.
@@ -626,43 +579,22 @@ class ReportStore:
         afterwards.  (An earlier revision flushed each shard mid-save,
         silently changing the block layout of a live store.)
 
-        ``format_version`` picks the on-disk format explicitly:
-
-        * ``1`` — row blocks, no index section (the original layout);
-        * ``2`` — row blocks plus the embedded point-lookup index;
-        * ``3`` — columnar blocks plus the index (the default for
-          columnar stores).
-
-        ``None`` infers it from the store's own block layout (and from
-        ``include_index=False``, which keeps meaning "write a v1
-        file").  Blocks whose frozen layout differs from the target are
-        transcoded record-for-record; because both encoders are pure
-        functions of the record sequence (one fixed zlib level per
-        layout), the output
-        is byte-exact against a store that had always used the target
-        layout — v2 files written by a columnar store are
-        bit-identical to those written by a row store of the same
-        contents, and vice versa.
+        Blocks are written as they are: every freeze site encodes the
+        same columnar layout at the same zlib level, so two stores with
+        the same records, block size and retrieval counters save
+        byte-identical files however they were filled.
         """
         self._ensure_index()
         path = Path(path)
-        if format_version is None:
-            format_version = (1 if not include_index
-                              else _VERSION_OF_FORMAT[self.block_format])
-        if format_version not in _SUPPORTED_VERSIONS:
-            raise CorruptRecordError(
-                f"unsupported store version {format_version}")
-        if format_version == 1:
-            include_index = False
-        target_format = _FORMAT_OF_VERSION[format_version]
+        index_payload = encode_index(self._index, self._sample_meta)
         header = {
-            "version": format_version,
+            "version": _FILE_VERSION,
             "block_records": self.block_records,
             "months": sorted(self.shards),
             # Retrieval-layer counters ride along so a save()+reopen
             # cycle doesn't silently zero the instrumentation (they used
             # to reset, making long-lived collector restarts look like
-            # cold caches).  Old files simply lack the key.
+            # cold caches).  Files without the key load with zeros.
             "retrieval_counters": {
                 "hits": self._cache.hits,
                 "misses": self._cache.misses,
@@ -672,30 +604,24 @@ class ReportStore:
                 "open_reads": self._open_reads,
                 "peak_stream_reports": self._peak_stream_reports,
             },
-        }
-        index_payload = b""
-        if include_index:
-            index_payload = encode_index(self._index, self._sample_meta)
-            header["index"] = {
+            "index": {
                 "format": INDEX_FORMAT,
                 "samples": len(self._index),
                 "bytes": len(index_payload),
-            }
+            },
+        }
         with path.open("wb") as fh:
             fh.write(_FILE_MAGIC)
             header_bytes = json.dumps(header).encode("utf-8")
             fh.write(struct.pack("<I", len(header_bytes)))
             fh.write(header_bytes)
-            if include_index:
-                fh.write(index_payload)
+            fh.write(index_payload)
             for month in sorted(self.shards):
                 shard = self.shards[month]
-                blocks = [self._transcoded(block, target_format)
-                          for block in shard.blocks]
+                blocks = list(shard.blocks)
                 buffered = shard.buffered_records()
                 if buffered:
-                    blocks.append(
-                        CompressedBlock.from_records(buffered, target_format))
+                    blocks.append(CompressedBlock.from_records(buffered))
                 fh.write(struct.pack("<iIqqq", month, len(blocks),
                                      shard.report_count, shard.verbose_bytes,
                                      shard.encoded_bytes))
@@ -704,30 +630,16 @@ class ReportStore:
                                          block.record_count, block.raw_bytes))
                     fh.write(block.payload)
 
-    @staticmethod
-    def _transcoded(block: CompressedBlock, target_format: str) -> CompressedBlock:
-        """The block as-is when already in the target layout, else re-encoded.
-
-        Dispatches on the block's own magic (not the shard's nominal
-        format) so stores holding mixed layouts — e.g. after a merge
-        spliced foreign blocks — still save a uniform, byte-exact file.
-        """
-        if codec.peek_block_format(block.payload) == target_format:
-            return block
-        return CompressedBlock.from_records(block.records(), target_format)
-
     @classmethod
     @traced("store.load.seconds")
     def load(cls, path: str | Path, *, reopen: bool = False,
              metrics=None, use_mmap: bool = False) -> "ReportStore":
         """Reload a store written by :meth:`save`.
 
-        A v2/v3 file carries its point-lookup index inline, so loading
-        decodes no blocks at all; a legacy v1 file (no index section)
-        loads too, deferring the index rebuild until the first
-        per-sample access actually needs it (lazy fallback).  The block
-        layout (row for v1/v2, columnar for v3) is taken from the file
-        version, so new appends and re-saves stay format-consistent.
+        The file carries its point-lookup index inline, so loading
+        decodes no blocks at all.  Only version 3 files with an index
+        section load; anything else raises
+        :class:`~repro.errors.CorruptRecordError`.
 
         With ``use_mmap=True`` the file is memory-mapped and every block
         payload is a zero-copy view into the mapping: nothing but the
@@ -759,24 +671,24 @@ class ReportStore:
                 (header_len,) = struct.unpack("<I", reader.read(4))
                 header = json.loads(
                     bytes(reader.read(header_len)).decode("utf-8"))
-                if header["version"] not in _SUPPORTED_VERSIONS:
+                if header["version"] != _FILE_VERSION:
                     raise CorruptRecordError(
                         f"unsupported store version {header['version']}"
                     )
-                store = cls(block_records=header["block_records"],
-                            metrics=metrics,
-                            block_format=_FORMAT_OF_VERSION[header["version"]])
-                store._mmap = mapping
                 index_info = header.get("index")
-                index_payload = None
-                if index_info is not None:
-                    if index_info["format"] != INDEX_FORMAT:
-                        raise CorruptRecordError(
-                            f"unsupported store index format "
-                            f"{index_info['format']}")
-                    index_payload = reader.read(index_info["bytes"])
-                    if len(index_payload) != index_info["bytes"]:
-                        raise CorruptRecordError("truncated store index")
+                if index_info is None:
+                    raise CorruptRecordError(
+                        f"{path} has no index section")
+                if index_info["format"] != INDEX_FORMAT:
+                    raise CorruptRecordError(
+                        f"unsupported store index format "
+                        f"{index_info['format']}")
+                store = cls(block_records=header["block_records"],
+                            metrics=metrics)
+                store._mmap = mapping
+                index_payload = reader.read(index_info["bytes"])
+                if len(index_payload) != index_info["bytes"]:
+                    raise CorruptRecordError("truncated store index")
                 counters = header.get("retrieval_counters")
                 if counters:
                     store._cache.hits = counters.get("hits", 0)
@@ -793,8 +705,7 @@ class ReportStore:
                         struct.unpack("<iIqqq", bytes(
                             reader.read(struct.calcsize("<iIqqq"))))
                     shard = MonthlyShard(month,
-                                         block_records=store.block_records,
-                                         block_format=store.block_format)
+                                         block_records=store.block_records)
                     for _ in range(n_blocks):
                         size, record_count, raw = struct.unpack(
                             "<IIq", bytes(reader.read(struct.calcsize("<IIq")))
@@ -810,16 +721,13 @@ class ReportStore:
                     shard.encoded_bytes = encoded
                     shard.closed = not reopen
                     store.shards[month] = shard
-                if index_payload is not None:
-                    index, meta = decode_index(bytes(index_payload))
-                    store._index = index
-                    store._sample_meta = meta
-                    store._scan_index = {
-                        sha: {entry[3] for entry in entries}
-                        for sha, entries in index.items()
-                    }
-                else:
-                    store._index_ready = False
+                index, meta = decode_index(bytes(index_payload))
+                store._index = index
+                store._sample_meta = meta
+                store._scan_index = {
+                    sha: {entry[3] for entry in entries}
+                    for sha, entries in index.items()
+                }
             except (StoreError, struct.error, ValueError, KeyError) as exc:
                 if mapping is not None:
                     # Payloads decoded before the error are exported
@@ -835,7 +743,7 @@ class ReportStore:
         return store
 
     def _ensure_index(self) -> None:
-        """Build the per-sample index if it was deferred (v1 file load)."""
+        """Build the per-sample index if it was deferred (bulk ingest)."""
         if not self._index_ready:
             self._rebuild_index()
 

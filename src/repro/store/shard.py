@@ -7,18 +7,17 @@ random-access granularity: the store's per-sample index addresses a report
 as ``(month, block, slot)`` and only that block must be decompressed to
 fetch it.
 
-Blocks freeze in one of two layouts (see :mod:`repro.store.codec`): the
-row layout (RPR1, length-prefixed records) or the columnar layout (RPR3,
-dictionary/delta-encoded columns).  Both decode back to identical record
-bytes; readers dispatch on the block magic, so a shard can even hold a
-mix (e.g. after a merge spliced foreign blocks in).
+Blocks freeze in the columnar layout of :mod:`repro.store.columnar`
+(RPR3, dictionary/delta-encoded columns), which decodes back to the
+identical record bytes, and compress at one fixed zlib level, so a
+block's payload is a pure function of its record sequence.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.errors import (
     BlockAddressError,
@@ -26,29 +25,19 @@ from repro.errors import (
     ShardClosedError,
 )
 from repro.store import codec
-
-if TYPE_CHECKING:
-    from repro.store.columnar import ColumnarBatch
+from repro.store.columnar import ColumnarBatch, encode_columnar
 
 #: Default records per compressed block.
 DEFAULT_BLOCK_RECORDS = 256
 
-#: zlib level: 6 is the sweet spot for these highly repetitive records.
-_ZLIB_LEVEL = 6
-
-#: Columnar blocks compress at level 1: the dictionary/delta/XOR
-#: pre-conditioning has already removed most entropy (the planes are
-#: near-all-zero), so the fast level costs ~1 point of ratio — still
-#: well below the row layout at level 6 — and halves the freeze cost.
-#: The store digest covers decompressed record bytes, so the level is
-#: not part of any byte-exactness contract *except* that every site
-#: freezing a columnar block must use the same one.
-_ZLIB_LEVEL_COLUMNAR = 1
-
-
-def _zlib_level(block_format: str) -> int:
-    return (_ZLIB_LEVEL_COLUMNAR
-            if block_format == codec.BLOCK_FORMAT_COLUMNAR else _ZLIB_LEVEL)
+#: zlib level.  The dictionary/delta/XOR pre-conditioning has already
+#: removed most entropy (the planes are near-all-zero), so the fast level
+#: costs about one point of ratio and halves the freeze cost.  The store
+#: digest covers decompressed record bytes, so the level is not part of
+#: the digest contract; but every site that freezes a block must use this
+#: one level, or saved files stop being byte-identical across the serial,
+#: merged and reloaded paths.
+_BLOCK_ZLIB_LEVEL = 1
 
 
 @dataclass(frozen=True)
@@ -72,40 +61,29 @@ class CompressedBlock:
                 f"undecompressable block: {exc}") from exc
         return codec.decode_block(framed)
 
-    def batch(self, planes: bool = True) -> "ColumnarBatch":
+    def batch(self, planes: bool = True) -> ColumnarBatch:
         """Decode the block into a columnar batch.
 
-        With ``planes=False`` a columnar block only decompresses its
-        fixed-column prefix (the label/version planes stay compressed);
-        row blocks fall back to a full decode either way.
+        With ``planes=False`` only the fixed-column prefix is
+        decompressed (the label/version planes stay compressed).
         """
         return codec.decode_compressed_batch(self.payload, planes=planes)
 
     @classmethod
-    def from_records(
-        cls, records: list[bytes],
-        block_format: str = codec.BLOCK_FORMAT_ROW,
-    ) -> "CompressedBlock":
-        framed = codec.encode_block(records, block_format)
-        return cls(
-            payload=zlib.compress(framed, _zlib_level(block_format)),
-            record_count=len(records),
-            raw_bytes=len(framed),
-        )
+    def from_records(cls, records: list[bytes]) -> "CompressedBlock":
+        """Freeze encoded records (bulk-parsed into columns first)."""
+        return cls.from_batch(ColumnarBatch.from_records(records))
 
     @classmethod
-    def from_batch(cls, batch: "ColumnarBatch") -> "CompressedBlock":
+    def from_batch(cls, batch: ColumnarBatch) -> "CompressedBlock":
         """Freeze a columnar batch directly (no row materialisation).
 
-        Byte-identical to ``from_records(batch.to_records(),
-        BLOCK_FORMAT_COLUMNAR)``: the columnar encoding is a pure
-        function of the record sequence.
+        Byte-identical to ``from_records(batch.to_records())``: the
+        columnar encoding is a pure function of the record sequence.
         """
-        from repro.store.columnar import encode_columnar
-
         framed = encode_columnar(batch)
         return cls(
-            payload=zlib.compress(framed, _ZLIB_LEVEL_COLUMNAR),
+            payload=zlib.compress(framed, _BLOCK_ZLIB_LEVEL),
             record_count=len(batch),
             raw_bytes=len(framed),
         )
@@ -118,13 +96,10 @@ class MonthlyShard:
     Appended records buffer until ``block_records`` accumulate, then the
     buffer freezes into a :class:`CompressedBlock`.  ``flush`` freezes a
     partial buffer; ``close`` flushes and rejects further appends.
-    ``block_format`` picks the layout new blocks freeze into; existing
-    blocks (e.g. loaded from disk) keep whatever layout they have.
     """
 
     month: int
     block_records: int = DEFAULT_BLOCK_RECORDS
-    block_format: str = codec.BLOCK_FORMAT_ROW
     blocks: list[CompressedBlock] = field(default_factory=list)
     _buffer: list[bytes] = field(default_factory=list, repr=False)
     closed: bool = False
@@ -157,13 +132,13 @@ class MonthlyShard:
             self.flush()
         return block_idx, slot
 
-    def extend_batch(self, batch: "ColumnarBatch") -> None:
+    def extend_batch(self, batch: ColumnarBatch) -> None:
         """Bulk-append a columnar batch (the array-ingest fast path).
 
         Equivalent to appending ``batch.to_records()`` one by one —
         identical block layout, identical accounting — but full blocks
-        are encoded straight from array slices, so when the shard is
-        columnar no per-record bytes are ever materialised for them.
+        are encoded straight from array slices, so no per-record bytes
+        are ever materialised for them.
         """
         if self.closed:
             raise ShardClosedError(f"shard for month {self.month} is closed")
@@ -180,11 +155,7 @@ class MonthlyShard:
                 self.flush()
         while n - pos >= self.block_records:
             chunk = batch.slice(pos, pos + self.block_records)
-            if self.block_format == codec.BLOCK_FORMAT_COLUMNAR:
-                self.blocks.append(CompressedBlock.from_batch(chunk))
-            else:
-                self.blocks.append(CompressedBlock.from_records(
-                    chunk.to_records(), self.block_format))
+            self.blocks.append(CompressedBlock.from_batch(chunk))
             pos += self.block_records
         if pos < n:
             self._buffer.extend(batch.slice(pos, n).to_records())
@@ -196,8 +167,7 @@ class MonthlyShard:
     def flush(self) -> None:
         """Freeze the open buffer into a compressed block."""
         if self._buffer:
-            self.blocks.append(
-                CompressedBlock.from_records(self._buffer, self.block_format))
+            self.blocks.append(CompressedBlock.from_records(self._buffer))
             self._buffer = []
             self.generation += 1
 
@@ -272,15 +242,13 @@ class MonthlyShard:
         if self._buffer:
             yield len(self.blocks), list(self._buffer)
 
-    def iter_batches(self, planes: bool = True) -> Iterator["ColumnarBatch"]:
+    def iter_batches(self, planes: bool = True) -> Iterator[ColumnarBatch]:
         """Per-block columnar batches in order, buffer snapshot last.
 
         The columnar analogue of :meth:`iter_record_blocks`: frozen
         blocks decode straight to arrays (metadata-only when ``planes``
         is off), the open buffer bulk-parses its records.
         """
-        from repro.store.columnar import ColumnarBatch
-
         for block in self.blocks:
             yield block.batch(planes=planes)
         if self._buffer:

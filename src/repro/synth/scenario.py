@@ -65,11 +65,6 @@ class ScenarioConfig:
     behavior: BehaviorParams = field(default_factory=BehaviorParams)
     #: Report-store block size.
     block_records: int = 256
-    #: Block layout new store blocks freeze into: ``"columnar"`` (the
-    #: RPR3 array layout, the default hot path) or ``"row"`` (the
-    #: original RPR1 framing).  Digest-neutral by construction — the
-    #: differential harness pins that.
-    block_format: str = "columnar"
     #: Report-store decoded-block cache budget in bytes (None = the
     #: store's default).
     store_cache_bytes: int | None = None
@@ -95,10 +90,6 @@ class ScenarioConfig:
             raise ConfigError("interval_sigma must be positive")
         if self.store_cache_bytes is not None and self.store_cache_bytes < 0:
             raise ConfigError("store_cache_bytes must be >= 0")
-        if self.block_format not in ("row", "columnar"):
-            raise ConfigError(
-                f"block_format must be 'row' or 'columnar', "
-                f"got {self.block_format!r}")
 
     def with_(self, **overrides) -> "ScenarioConfig":
         """A copy with the given fields replaced."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiment import ExperimentData, run_experiment
+from repro.store.columnar import ColumnarBatch
 from repro.store.reportstore import ReportStore
 from repro.synth.scenario import ScenarioConfig, tiny_scenario
 from repro.vt.engines import EngineFleet, default_fleet
@@ -21,23 +22,25 @@ def fleet() -> EngineFleet:
     return default_fleet(seed=0)
 
 
+def ingest_rows(store: ReportStore, reports) -> None:
+    """Fill ``store`` one report at a time (:meth:`ReportStore.ingest`)."""
+    for report in reports:
+        store.ingest(report)
+
+
+def ingest_columns(store: ReportStore, reports) -> None:
+    """Fill ``store`` with one bulk :meth:`ReportStore.ingest_arrays`
+    call, which defers the per-sample index to a lazy rebuild."""
+    store.ingest_arrays(ColumnarBatch.from_reports(list(reports)))
+
+
 @pytest.fixture(scope="session", params=["row", "columnar"])
-def store_block_format(request) -> str:
-    """Both block layouts.  Store-bearing suites (index, merge, serve)
-    take this fixture so every contract runs against the row path *and*
-    the columnar v3 path without duplicated test bodies."""
-    return request.param
-
-
-@pytest.fixture()
-def store_factory(store_block_format):
-    """A :class:`ReportStore` constructor pinned to the active layout."""
-
-    def make(**kwargs) -> ReportStore:
-        kwargs.setdefault("block_format", store_block_format)
-        return ReportStore(**kwargs)
-
-    return make
+def store_fill(request):
+    """Both ingest paths.  Store-bearing suites (index, merge, serve)
+    take this fixture so every contract runs against a store filled row
+    by row (live index) *and* one filled from a columnar batch (lazily
+    rebuilt index) without duplicated test bodies."""
+    return ingest_rows if request.param == "row" else ingest_columns
 
 
 @pytest.fixture(scope="session")

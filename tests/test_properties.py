@@ -53,7 +53,12 @@ def test_label_encoding_round_trips(labels):
     first_sub=st.integers(min_value=-10**6, max_value=10**6),
 )
 def test_report_codec_round_trips(labels, scan_time, first_sub):
-    report = ScanReport(
+    report = _report(labels, scan_time, first_sub)
+    assert codec.decode_report(codec.encode_report(report)) == report
+
+
+def _report(labels: list[int], scan_time: int, first_sub: int) -> ScanReport:
+    return ScanReport(
         sha256="cd" * 32,
         file_type="Win32 EXE",
         scan_time=scan_time,
@@ -66,11 +71,14 @@ def test_report_codec_round_trips(labels, scan_time, first_sub):
         last_analysis_date=scan_time,
         times_submitted=1,
     )
-    assert codec.decode_report(codec.encode_report(report)) == report
 
 
-@given(st.lists(st.binary(max_size=200), max_size=30))
-def test_block_framing_round_trips(records):
+@given(st.lists(st.tuples(st.lists(st.sampled_from([-1, 0, 1]), max_size=9),
+                          st.integers(0, 10**7),
+                          st.integers(-10**6, 10**6)),
+                max_size=30))
+def test_block_framing_round_trips(rows):
+    records = [codec.encode_report(_report(*row)) for row in rows]
     assert codec.decode_block(codec.encode_block(records)) == records
 
 

@@ -24,7 +24,7 @@ from repro.serve.http import LATENCY_EDGES
 from repro.serve.ratelimit import TenantLimiter
 from repro.store import ReportStore
 from repro.vt.feed import FeedArchive
-from tests.conftest import make_report, make_sha
+from tests.conftest import ingest_rows, make_report, make_sha
 
 
 class FakeClock:
@@ -40,23 +40,21 @@ class FakeClock:
         self.now += seconds
 
 
-def _tiny_store(block_format: str = "columnar") -> ReportStore:
-    store = ReportStore(block_records=4, block_format=block_format)
-    for i in range(6):
-        sha = make_sha(f"serve{i}")
-        for rep in range(3):
-            store.ingest(make_report(
-                sha=sha, scan_time=100 * rep + i,
-                labels=[1] * rep + [0] * (5 - rep)))
+def _tiny_store(fill=ingest_rows) -> ReportStore:
+    store = ReportStore(block_records=4)
+    fill(store, [make_report(sha=make_sha(f"serve{i}"),
+                             scan_time=100 * rep + i,
+                             labels=[1] * rep + [0] * (5 - rep))
+                 for i in range(6) for rep in range(3)])
     store.close()
     return store
 
 
 @pytest.fixture()
-def store(store_block_format):
-    # The serving hot path runs against both block layouts: row decodes
-    # records, columnar decodes arrays and materialises only the hit slot.
-    return _tiny_store(store_block_format)
+def store(store_fill):
+    # The serving hot path runs against both ingest paths: a live index
+    # built row by row, and one rebuilt lazily after bulk ingest.
+    return _tiny_store(store_fill)
 
 
 @pytest.fixture()

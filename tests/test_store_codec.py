@@ -70,20 +70,32 @@ class TestVerboseEstimate:
         assert len(attrs["last_analysis_results"]) == 5
 
 
+def _records(n: int) -> list[bytes]:
+    return [codec.encode_report(make_report(sha=f"{i:02x}" * 32,
+                                            scan_time=i * 100,
+                                            labels=[i % 2] * 5))
+            for i in range(n)]
+
+
 class TestBlockFraming:
     def test_round_trip(self):
-        records = [b"alpha", b"", b"gamma" * 100]
+        records = _records(3) + [codec.encode_report(
+            make_report(labels=[1, 0, -1] * 30, n_engines=90))]
         assert codec.decode_block(codec.encode_block(records)) == records
 
     def test_empty_block(self):
         assert codec.decode_block(codec.encode_block([])) == []
 
     def test_bad_magic_rejected(self):
+        framed = codec.encode_block(_records(2))
         with pytest.raises(CorruptRecordError):
-            codec.decode_block(b"XXXX\x00\x00\x00\x00")
+            codec.decode_block(b"XXXX" + framed[4:])
+        # The retired row framing (magic RPR1) is no longer a block.
+        with pytest.raises(CorruptRecordError):
+            codec.decode_block(b"RPR1" + framed[4:])
 
     def test_truncated_block_rejected(self):
-        framed = codec.encode_block([b"hello"])
+        framed = codec.encode_block(_records(1))
         with pytest.raises(CorruptRecordError):
             codec.decode_block(framed[:-2])
 

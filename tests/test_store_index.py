@@ -1,40 +1,48 @@
 """Tests for the persistent point-lookup index (repro.store.index).
 
-Covers the codec round-trip, the v2/v3 file formats, the v1 lazy-rebuild
-fallback, and the regression this layer exists for: single-hash lookups
-must decode only the blocks holding that sample's reports — never scan
-the store.  Every store-backed test runs against both block layouts via
-the ``store_block_format`` fixture (tests/conftest.py).
+Covers the codec round-trip, the file's embedded index section, the
+lazy rebuild after bulk ingest, and the regression this layer exists
+for: single-hash lookups must decode only the blocks holding that
+sample's reports — never scan the store.  Every store-backed test runs
+against both ingest paths via the ``store_fill`` fixture
+(tests/conftest.py).
 """
+
+import json
+import struct
 
 import pytest
 
 from repro.errors import ConfigError, CorruptRecordError, UnknownSampleError
 from repro.store import ReportQuery, ReportStore, decode_index, encode_index
 from repro.store.index import latest_entry, sample_ranks
-from tests.conftest import make_report, make_sha
+from tests.conftest import ingest_columns, make_report, make_sha
 
 
-def _spread_store(block_records: int = 4, n_samples: int = 12,
-                  reports_per_sample: int = 3,
-                  block_format: str = "columnar") -> ReportStore:
-    """A store whose samples spread across many blocks and two months."""
-    store = ReportStore(block_records=block_records,
-                        block_format=block_format)
+def _spread_reports(n_samples: int = 12, reports_per_sample: int = 3):
+    """Reports whose samples spread across many blocks and two months."""
     shas = [make_sha(f"s{i}") for i in range(n_samples)]
+    reports = []
     for rep in range(reports_per_sample):
         for i, sha in enumerate(shas):
             # Second half of the reports land one month later.
             base = 0 if rep < reports_per_sample // 2 else 44_640
-            store.ingest(make_report(
+            reports.append(make_report(
                 sha=sha, scan_time=base + rep * 1000 + i))
+    return reports
+
+
+@pytest.fixture()
+def spread_store(store_fill) -> ReportStore:
+    store = ReportStore(block_records=4)
+    store_fill(store, _spread_reports())
     store.close()
     return store
 
 
-@pytest.fixture()
-def spread_store(store_block_format) -> ReportStore:
-    return _spread_store(block_format=store_block_format)
+def _header_of(blob: bytes) -> dict:
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12:12 + hlen])
 
 
 class TestCodec:
@@ -148,13 +156,13 @@ class TestPointLookup:
         decoded = store.cache_stats().blocks_decoded - before
         assert decoded == len(distinct_blocks)
 
-    def test_latest_report_sees_open_buffer(self, store_factory):
+    def test_latest_report_sees_open_buffer(self, store_fill):
         """A point lookup on a live store reaches reports still in the
         unsealed buffer (served live, never cached)."""
-        store = store_factory(block_records=64)
+        store = ReportStore(block_records=64)
         sha = make_sha("live")
-        store.ingest(make_report(sha=sha, scan_time=10))
-        store.ingest(make_report(sha=sha, scan_time=20))
+        store_fill(store, [make_report(sha=sha, scan_time=10),
+                           make_report(sha=sha, scan_time=20)])
         assert store.latest_report(sha).scan_time == 20
         assert store.cache_stats().open_reads > 0
 
@@ -171,6 +179,8 @@ class TestPersistence:
         store = spread_store
         path = tmp_path / "indexed.store"
         store.save(path)
+        header = _header_of(path.read_bytes())
+        assert header["index"]["samples"] == store.sample_count
         loaded = ReportStore.load(path)
         assert list(loaded.samples()) == list(store.samples())
         for sha in store.samples():
@@ -188,46 +198,21 @@ class TestPersistence:
         assert loaded.cache_stats().blocks_decoded == \
             store.cache_stats().blocks_decoded
 
-    def test_v1_file_still_loads_with_lazy_rebuild(self, spread_store,
-                                                   tmp_path):
-        store = spread_store
-        path = tmp_path / "v1.store"
-        store.save(path, include_index=False)
-        loaded = ReportStore.load(path)
-        assert not loaded._index_ready
+    def test_bulk_ingest_rebuilds_index_lazily(self, store_fill):
+        reference = ReportStore(block_records=4)
+        store_fill(reference, _spread_reports())
+        reference.close()
+        bulk = ReportStore(block_records=4)
+        ingest_columns(bulk, _spread_reports())
+        bulk.close()
+        assert not bulk._index_ready
         # First per-sample access triggers the rebuild; results match.
-        assert list(loaded.samples()) == list(store.samples())
-        assert loaded._index_ready
-        for sha in store.samples():
-            assert loaded.report_series(sha) == store.report_series(sha)
-
-    def test_v1_header_has_no_index_section(self, spread_store, tmp_path):
-        import json
-        import struct
-
-        store = spread_store
-        v1 = tmp_path / "v1.store"
-        indexed = tmp_path / "indexed.store"
-        store.save(v1, include_index=False)
-        store.save(indexed)
-
-        def header_of(path):
-            blob = path.read_bytes()
-            (hlen,) = struct.unpack_from("<I", blob, 8)
-            return json.loads(blob[12:12 + hlen])
-
-        h1, h2 = header_of(v1), header_of(indexed)
-        assert h1["version"] == 1 and "index" not in h1
-        # A default save carries the layout's native version: row → v2,
-        # columnar → v3 — both with the embedded index.
-        expected = 3 if store.block_format == "columnar" else 2
-        assert h2["version"] == expected and h2["index"]["samples"] == \
-            store.sample_count
+        assert list(bulk.samples()) == list(reference.samples())
+        assert bulk._index_ready
+        for sha in reference.samples():
+            assert bulk.report_series(sha) == reference.report_series(sha)
 
     def test_corrupt_index_section_rejected(self, spread_store, tmp_path):
-        import json
-        import struct
-
         store = spread_store
         path = tmp_path / "indexed.store"
         store.save(path)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_report, make_sha
+from conftest import ingest_rows, make_report, make_sha
 from repro.errors import ConfigError
 from repro.store import codec
 from repro.store.merge import FrozenMonth, FrozenShard, concat_frozen
@@ -30,8 +30,7 @@ def _reports(indices, scan_time_of):
     return out
 
 
-def _freeze(keyed_reports, block_records=BLOCK,
-            block_format=codec.BLOCK_FORMAT_COLUMNAR) -> FrozenShard:
+def _freeze(keyed_reports, block_records=BLOCK) -> FrozenShard:
     """Package ``(key, report)`` pairs the way a worker would."""
     by_month: dict[int, list] = {}
     for key, report in keyed_reports:
@@ -41,8 +40,7 @@ def _freeze(keyed_reports, block_records=BLOCK,
     for month, items in by_month.items():
         records = [codec.encode_report(r) for _, r in items]
         months[month] = FrozenMonth(
-            blocks=[CompressedBlock.from_records(records[i:i + block_records],
-                                                 block_format)
+            blocks=[CompressedBlock.from_records(records[i:i + block_records])
                     for i in range(0, len(records), block_records)],
             report_count=len(records),
             verbose_bytes=sum(codec.verbose_json_size(r) for _, r in items),
@@ -58,24 +56,20 @@ def _freeze(keyed_reports, block_records=BLOCK,
 
 
 def _serial_reference(all_keyed, block_records=BLOCK,
-                      block_format=codec.BLOCK_FORMAT_COLUMNAR) -> ReportStore:
+                      fill=ingest_rows) -> ReportStore:
     """What serial ingest of the same records in key order produces."""
-    store = ReportStore(block_records=block_records,
-                        block_format=block_format)
-    for _, report in sorted(all_keyed, key=lambda kr: kr[0]):
-        store.ingest(report)
+    store = ReportStore(block_records=block_records)
+    fill(store, [r for _, r in sorted(all_keyed, key=lambda kr: kr[0])])
     store.close()
     return store
 
 
-def test_interleaved_merge_matches_serial_ingest(store_block_format):
-    fmt = store_block_format
+def test_interleaved_merge_matches_serial_ingest(store_fill):
     a = _reports(range(0, 10, 2), lambda i: 1000 + i)   # even minutes
     b = _reports(range(1, 10, 2), lambda i: 1000 + i)   # odd minutes
-    merged, stats = concat_frozen(
-        [_freeze(a, block_format=fmt), _freeze(b, block_format=fmt)],
-        block_records=BLOCK, block_format=fmt)
-    reference = _serial_reference(a + b, block_format=fmt)
+    merged, stats = concat_frozen([_freeze(a), _freeze(b)],
+                                  block_records=BLOCK)
+    reference = _serial_reference(a + b, fill=store_fill)
     assert merged.digest() == reference.digest()
     assert merged.report_count == 10
     assert stats.records == 10
@@ -85,18 +79,15 @@ def test_interleaved_merge_matches_serial_ingest(store_block_format):
         len(_freeze(b).months[0].blocks)
 
 
-def test_disjoint_full_blocks_splice_without_decompression(
-        store_block_format):
-    fmt = store_block_format
+def test_disjoint_full_blocks_splice_without_decompression(store_fill):
     a = _reports(range(0, 8), lambda i: 1000 + i)       # 2 full blocks
     b = _reports(range(8, 16), lambda i: 2000 + i)      # strictly later
-    merged, stats = concat_frozen(
-        [_freeze(a, block_format=fmt), _freeze(b, block_format=fmt)],
-        block_records=BLOCK, block_format=fmt)
-    reference = _serial_reference(a + b, block_format=fmt)
+    merged, stats = concat_frozen([_freeze(a), _freeze(b)],
+                                  block_records=BLOCK)
+    reference = _serial_reference(a + b, fill=store_fill)
     assert merged.digest() == reference.digest()
-    # Spliced blocks are adopted untouched, so the merged file equals
-    # the serial reference byte for byte in either layout.
+    # Spliced blocks are adopted untouched, so the merged blocks equal
+    # the serial reference's byte for byte on either ingest path.
     assert stats.blocks_spliced == 4
     assert stats.blocks_decompressed == 0
     assert stats.blocks_recompressed == 0
@@ -104,15 +95,13 @@ def test_disjoint_full_blocks_splice_without_decompression(
         [b.payload for s in reference.shards.values() for b in s.blocks]
 
 
-def test_partial_tail_block_interleaves(store_block_format):
-    fmt = store_block_format
+def test_partial_tail_block_interleaves(store_fill):
     a = _reports(range(0, 6), lambda i: 1000 + i)       # 1 full + 1 partial
     b = _reports(range(6, 12), lambda i: 2000 + i)
-    merged, stats = concat_frozen(
-        [_freeze(a, block_format=fmt), _freeze(b, block_format=fmt)],
-        block_records=BLOCK, block_format=fmt)
+    merged, stats = concat_frozen([_freeze(a), _freeze(b)],
+                                  block_records=BLOCK)
     assert merged.digest() == \
-        _serial_reference(a + b, block_format=fmt).digest()
+        _serial_reference(a + b, fill=store_fill).digest()
     # a's full first block splices; its 2-record tail forces the buffer
     # open, so b's records re-block from there.
     assert stats.blocks_spliced == 1
