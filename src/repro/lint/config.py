@@ -156,6 +156,7 @@ DIGEST_ROOTS: tuple[str, ...] = (
     "repro.store.reportstore.ReportStore.ingest_arrays",
     "repro.store.reportstore.ReportStore.save",
     "repro.store.reportstore.ReportStore.digest",
+    "repro.store.merge.merge_shards",
     "repro.parallel.worker.execute_range",
 )
 

@@ -17,11 +17,10 @@ into one **bit-identically** to the serial run:
   heartbeats, work-stealing, bounded keyed-backoff retries and
   per-shard digest checkpoints (:mod:`repro.parallel.executors`,
   :mod:`repro.parallel.scheduler`, :mod:`repro.parallel.heartbeat`);
-* completed shards stream into the merge as they finish; the merge
-  splices per-month record streams by ``(scan_time,
-  global_sample_index)`` — the serial ingest order — at block
-  granularity where shards do not overlap in time
-  (:mod:`repro.store.merge`).
+* completed shards are collected as they finish; once the last is in,
+  the merge sorts each month's records once by ``(scan_time,
+  global_sample_index)`` — the serial ingest order — and re-blocks them
+  through the serial freeze path (:mod:`repro.store.merge`).
 
 The equivalence contract: ``run_experiment(config, workers=K)`` yields a
 store whose :meth:`~repro.store.reportstore.ReportStore.digest` equals

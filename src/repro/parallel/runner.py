@@ -3,14 +3,16 @@
 ``run_parallel`` partitions the scenario into more ranges than workers
 (``policy.fanout`` per worker), submits them to an elastic executor
 (:mod:`repro.parallel.executors`) driven by the failure-aware scheduler
-(:mod:`repro.parallel.scheduler`), and streams completed frozen shards
-into the merge (:class:`~repro.store.merge.StreamingMerge`).  The result
-is bit-identical to a serial run — and, by the same construction, to a
-chaos run with injected crashes, hangs and corrupted payloads: per-shard
-bytes are a pure function of ``(config, range)``, merge keys reproduce
-the serial ingest order, and the merge re-blocks purely by record
-sequence, so neither worker count, executor kind, completion order nor
-retry history can perturb the final store.
+(:mod:`repro.parallel.scheduler`), hands completed frozen shards to the
+merge (:class:`~repro.store.merge.StreamingMerge`) and merges them once
+when the last one is in.  The result is bit-identical to a serial run —
+and, by the same construction, to a chaos run with injected crashes,
+hangs and corrupted payloads: per-shard bytes are a pure function of
+``(config, range)``, the merge sorts each month by
+``(scan_time, global sample index)``, which is the serial ingest order,
+and re-blocks through the serial freeze path, so neither worker count,
+executor kind, completion order nor retry history can perturb the final
+store.
 
 Executor selection: ``auto`` prefers fork and falls back to spawn;
 platforms without fork get real multi-process execution rather than the
@@ -27,17 +29,9 @@ from repro.parallel.executors import fork_available as _pool_fork_available
 from repro.parallel.executors.base import ShardTask
 from repro.parallel.scheduler import ExecutorPolicy, ShardScheduler
 from repro.parallel.sharding import partition_samples
-from repro.parallel.worker import ShardRun, _run_shard_task  # noqa: F401  (re-export)
+from repro.parallel.worker import ShardRun
 from repro.store.cache import DEFAULT_CACHE_BYTES
-from repro.store.merge import (
-    FrozenMonth,
-    FrozenShard,
-    MergeStats,
-    StreamingMerge,
-    concat_frozen,
-)
-from repro.store.reportstore import ReportStore
-from repro.synth.population import PopulationGenerator
+from repro.store.merge import FrozenShard, StreamingMerge
 from repro.synth.scenario import ScenarioConfig
 from repro.vt.engines import EngineFleet, default_fleet
 
@@ -65,41 +59,9 @@ def coerce_policy(executor) -> ExecutorPolicy:
         f"got {type(executor).__name__}")
 
 
-def frozen_shard_of(run: ShardRun, shas: list[str]) -> FrozenShard:
-    """Repackage one worker's result for the merge.
-
-    The merge key shipped by workers is ``(scan_time, global index)``;
-    the sample hash for the index is recomputed by the driver (it is a
-    pure function of ``(seed, index)``), which keeps worker payloads
-    free of 64-byte hash strings for every record.
-    """
-    months = {}
-    for month, sm in run.months.items():
-        months[month] = FrozenMonth(
-            blocks=sm.compressed_blocks(),
-            report_count=sm.report_count,
-            verbose_bytes=sm.verbose_bytes,
-            encoded_bytes=sm.encoded_bytes,
-            keys=sm.keys,
-            shas=[shas[index] for _, index in sm.keys],
-            scan_times=[when for when, _ in sm.keys],
-        )
-    return FrozenShard(months=months, sample_meta=run.sample_meta)
-
-
-def merge_shard_runs(
-    config: ScenarioConfig, runs: list[ShardRun], metrics=None
-) -> tuple[ReportStore, MergeStats]:
-    """Merge worker results into one sealed store in serial ingest order."""
-    generator = PopulationGenerator(config)
-    shas = [generator.sha_for(i) for i in range(config.n_samples)]
-    sources = [frozen_shard_of(run, shas)
-               for run in sorted(runs, key=lambda r: r.shard_index)]
-    cache_bytes = (config.store_cache_bytes
-                   if config.store_cache_bytes is not None
-                   else DEFAULT_CACHE_BYTES)
-    return concat_frozen(sources, block_records=config.block_records,
-                         cache_bytes=cache_bytes, metrics=metrics)
+def frozen_shard_of(run: ShardRun) -> FrozenShard:
+    """One worker's result as a merge source: its frozen months."""
+    return run.months
 
 
 def run_parallel(
@@ -157,8 +119,6 @@ def run_parallel(
         for shard in ranges
     ]
 
-    generator = PopulationGenerator(config)
-    shas = [generator.sha_for(i) for i in range(config.n_samples)]
     cache_bytes = (config.store_cache_bytes
                    if config.store_cache_bytes is not None
                    else DEFAULT_CACHE_BYTES)
@@ -172,7 +132,7 @@ def run_parallel(
         events_total += run.events_executed
         if with_metrics and run.metrics is not None:
             snapshots[run.shard_index] = run.metrics
-        streaming.add(frozen_shard_of(run, shas))
+        streaming.add(frozen_shard_of(run))
 
     engine = make_executor(
         kind, heartbeat_interval=policy.effective_heartbeat_interval)

@@ -11,19 +11,21 @@ are identical by construction.
 
 :func:`run_shard` wraps ``execute_range`` for a worker process: it runs
 the shard, freezes the store, and repackages it as a picklable
-:class:`ShardRun` carrying the compressed blocks plus the per-record
-``(scan_time, global_sample_index)`` merge keys the driver needs to
-splice shards back together in serial order.
+:class:`ShardRun`: per month, the compressed blocks plus one ``<i8``
+array of each record's global sample index, which with the blocks' own
+scan times is all the driver's merge needs to restore serial order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.obs import NULL_REGISTRY, MetricsRegistry, MetricsSnapshot
 from repro.parallel.sharding import ShardSpec
+from repro.store.merge import FrozenMonth
 from repro.store.reportstore import ReportStore
-from repro.store.shard import CompressedBlock
 from repro.synth.population import PopulationGenerator
 from repro.synth.scenario import ScenarioConfig
 from repro.vt.clock import month_index
@@ -40,12 +42,6 @@ FEED_DRAIN_EVERY = 10_000
 #: call); small enough that even short shards beat a few times.
 PROGRESS_EVERY = 64
 
-#: Merge key of one record: (scan_time, global sample index).  Unique
-#: across the whole scenario (a sample never has two scans in the same
-#: minute) and non-decreasing within a shard's per-month stream.
-MergeKey = tuple[int, int]
-
-
 @dataclass
 class RangeRun:
     """Everything one in-process event-loop execution produced."""
@@ -54,32 +50,17 @@ class RangeRun:
     fleet: EngineFleet
     store: ReportStore
     events_executed: int
-    #: Per-month merge keys, one per ingested record in ingest order.
-    keys_by_month: dict[int, list[MergeKey]] = field(repr=False)
-
-
-@dataclass
-class ShardMonth:
-    """Picklable snapshot of one month of a worker's frozen store."""
-
-    blocks: list[tuple[bytes, int, int]]  # (payload, record_count, raw_bytes)
-    report_count: int
-    verbose_bytes: int
-    encoded_bytes: int
-    keys: list[MergeKey] = field(repr=False)
-
-    def compressed_blocks(self) -> list[CompressedBlock]:
-        return [CompressedBlock(payload, count, raw)
-                for payload, count, raw in self.blocks]
+    #: Per-month global sample index of every ingested record, in
+    #: ingest order.
+    keys_by_month: dict[int, list[int]] = field(repr=False)
 
 
 @dataclass
 class ShardRun:
-    """A worker's result: frozen month payloads plus merge metadata."""
+    """A worker's result: its frozen months, ready for the merge."""
 
     shard_index: int
-    months: dict[int, ShardMonth]
-    sample_meta: dict[str, tuple[str, bool]]
+    months: dict[int, FrozenMonth]
     events_executed: int
     report_count: int
     #: Snapshot of the worker's metrics registry (None when the driver
@@ -102,8 +83,8 @@ def execute_range(
     Registers a *clone* of every generated sample, so the generator's
     spec objects are never mutated (the pre-window submission backfill
     happens at registration time, on the clone).  With ``collect_keys``
-    the per-record merge keys are recorded alongside ingest — the worker
-    path; the serial path skips the bookkeeping.
+    each record's global sample index is recorded alongside ingest — the
+    worker path; the serial path skips the bookkeeping.
 
     ``metrics`` is handed to the service and the store.  Everything this
     loop records is per-sample work (partition-invariant), so the merged
@@ -137,7 +118,7 @@ def execute_range(
             events.append((when, index, ordinal))
     events.sort()
 
-    keys_by_month: dict[int, list[MergeKey]] = {}
+    keys_by_month: dict[int, list[int]] = {}
     executed = 0
     with feed:
         for when, index, ordinal in events:
@@ -147,8 +128,7 @@ def execute_range(
             else:
                 service.rescan(sample, when)
             if collect_keys:
-                keys_by_month.setdefault(month_index(when), []).append(
-                    (when, index))
+                keys_by_month.setdefault(month_index(when), []).append(index)
             executed += 1
             m_events.inc()
             if progress is not None and executed % PROGRESS_EVERY == 0:
@@ -178,33 +158,17 @@ def run_shard(
     run = execute_range(config, shard.start, shard.stop, fleet=fleet,
                         collect_keys=True, metrics=registry,
                         progress=progress)
-    store = run.store
-    months = {}
-    for month, mshard in store.shards.items():
-        months[month] = ShardMonth(
-            blocks=[(b.payload, b.record_count, b.raw_bytes)
-                    for b in mshard.blocks],
-            report_count=mshard.report_count,
-            verbose_bytes=mshard.verbose_bytes,
-            encoded_bytes=mshard.encoded_bytes,
-            keys=run.keys_by_month.get(month, []),
+    months = {
+        month: FrozenMonth(
+            blocks=list(mshard.blocks),
+            keys=np.asarray(run.keys_by_month.get(month, []), "<i8"),
         )
-    sample_meta = {
-        sha: (store.sample_file_type(sha), store.sample_is_fresh(sha))
-        for sha in store.samples()
+        for month, mshard in run.store.shards.items()
     }
     return ShardRun(
         shard_index=shard.shard_index,
         months=months,
-        sample_meta=sample_meta,
         events_executed=run.events_executed,
-        report_count=store.report_count,
+        report_count=run.store.report_count,
         metrics=registry.snapshot() if registry is not None else None,
     )
-
-
-def _run_shard_task(args: tuple[ScenarioConfig, ShardSpec,
-                                EngineFleet | None, bool]) -> ShardRun:
-    """Module-level pool target (must be importable by worker processes)."""
-    config, shard, fleet, with_metrics = args
-    return run_shard(config, shard, fleet=fleet, with_metrics=with_metrics)

@@ -15,7 +15,7 @@ from repro.store.cache import BlockCache, CacheStats
 from repro.store.codec import decode_report, encode_report, verbose_json_size
 from repro.store.columnar import ColumnarBatch, SeriesFrame
 from repro.store.index import IndexEntry, decode_index, encode_index, sample_ranks
-from repro.store.merge import FrozenMonth, FrozenShard, MergeStats, concat_frozen
+from repro.store.merge import FrozenMonth, MergeStats, merge_shards
 from repro.store.query import ReportQuery
 from repro.store.reportstore import ReportStore
 from repro.store.shard import CompressedBlock, MonthlyShard
@@ -35,9 +35,8 @@ __all__ = [
     "IndexEntry",
     "ReportQuery",
     "FrozenMonth",
-    "FrozenShard",
     "MergeStats",
-    "concat_frozen",
+    "merge_shards",
     "ReportStore",
     "CompressedBlock",
     "MonthlyShard",

@@ -324,6 +324,45 @@ class ColumnarBatch:
             if any(len(r.versions) for r in reports) else np.zeros(0, "<u4"),
         )
 
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnarBatch"]) -> "ColumnarBatch":
+        """One batch holding every record of ``batches``, in order.
+
+        The per-block file-type dictionaries are remapped onto one union
+        dictionary in first-appearance order.  The planes concatenate
+        only when every batch carries them; otherwise (metadata-only
+        decodes) the result has none either.
+        """
+        if not batches:
+            return cls.empty()
+        names: dict[str, int] = {}
+        codes = []
+        for batch in batches:
+            local = np.zeros(max(len(batch.ftypes), 1), "<u2")
+            for i, name in enumerate(batch.ftypes):
+                local[i] = names.setdefault(name, len(names))
+            codes.append(local[batch.ftype_codes.astype(np.int64)])
+        planes = all(batch.has_planes for batch in batches)
+
+        def cat(column: str) -> np.ndarray:
+            return np.concatenate([getattr(b, column) for b in batches])
+
+        return cls(
+            scan_time=cat("scan_time"),
+            positives=cat("positives"),
+            total=cat("total"),
+            first_submission=cat("first_submission"),
+            last_submission=cat("last_submission"),
+            last_analysis=cat("last_analysis"),
+            times_submitted=cat("times_submitted"),
+            n_engines=cat("n_engines"),
+            ftype_codes=np.concatenate(codes),
+            ftypes=tuple(names),
+            shas=cat("shas"),
+            labels=cat("labels") if planes else None,
+            versions=cat("versions") if planes else None,
+        )
+
     # ------------------------------------------------------------------
     # Row materialisation
     # ------------------------------------------------------------------
@@ -741,39 +780,22 @@ class SeriesFrame:
         occurrence in the stream is used — identical for chronologically
         ingested stores.
         """
-        times_parts: list[np.ndarray] = []
-        ranks_parts: list[np.ndarray] = []
-        sha_parts: list[np.ndarray] = []
-        fresh_parts: list[np.ndarray] = []
-        ftype_parts: list[np.ndarray] = []
-        block_parts: list[np.ndarray] = []
-        names: dict[str, int] = {}
-        for ordinal, batch in enumerate(batches):
-            n = len(batch)
-            if n == 0:
-                continue
-            times_parts.append(batch.scan_time.astype(np.int64))
-            ranks_parts.append(batch.positives.astype(np.int64))
-            sha_parts.append(batch.shas)
-            fresh_parts.append(batch.first_submission.astype(np.int64) >= 0)
-            local = np.zeros(max(len(batch.ftypes), 1), np.int64)
-            for i, name in enumerate(batch.ftypes):
-                local[i] = names.setdefault(name, len(names))
-            ftype_parts.append(local[batch.ftype_codes.astype(np.int64)])
-            block_parts.append(np.full(n, ordinal, np.int64))
-        if not times_parts:
+        parts = [batch for batch in batches if len(batch)]
+        if not parts:
             return cls(sha256=[], file_types=[],
                        fresh=np.zeros(0, bool),
                        offsets=np.zeros(1, np.int64),
                        times=np.zeros(0, np.int64),
                        ranks=np.zeros(0, np.int64))
 
-        times = np.concatenate(times_parts)
-        ranks = np.concatenate(ranks_parts)
-        shas = np.concatenate(sha_parts)
-        fresh = np.concatenate(fresh_parts)
-        ftype_codes = np.concatenate(ftype_parts)
-        block_ord = np.concatenate(block_parts)
+        stream = ColumnarBatch.concat(parts)
+        times = stream.scan_time.astype(np.int64)
+        ranks = stream.positives.astype(np.int64)
+        shas = stream.shas
+        fresh = stream.first_submission.astype(np.int64) >= 0
+        ftype_codes = stream.ftype_codes.astype(np.int64)
+        block_ord = np.repeat(np.arange(len(parts), dtype=np.int64),
+                              [len(batch) for batch in parts])
         n_total = len(times)
 
         uniq, inv = np.unique(shas, return_inverse=True)
@@ -807,12 +829,11 @@ class SeriesFrame:
         np.cumsum(counts, out=offsets[1:])
         firsts = perm[offsets[:-1]]
 
-        names_list = list(names)
         first_blob = shas[firsts].tobytes()
         return cls(
             sha256=[first_blob[32 * i:32 * i + 32].hex()
                     for i in range(len(firsts))],
-            file_types=[names_list[g] for g in ftype_codes[firsts].tolist()],
+            file_types=[stream.ftypes[g] for g in ftype_codes[firsts].tolist()],
             fresh=fresh[firsts],
             offsets=offsets,
             times=times[perm],

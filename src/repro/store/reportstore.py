@@ -761,35 +761,25 @@ class ReportStore:
         self._index.clear()
         self._sample_meta.clear()
         self._scan_index.clear()
-        parts: list[tuple[int, int, "ColumnarBatch"]] = []
-        names: dict[str, int] = {}
-        ftype_parts: list[np.ndarray] = []
-        for month in sorted(self.shards):
-            shard = self.shards[month]
+        parts: list[tuple[int, int, ColumnarBatch]] = [
+            (month, block_idx, batch)
+            for month in sorted(self.shards)
             for block_idx, batch in enumerate(
-                    shard.iter_batches(planes=False)):
-                if len(batch) == 0:
-                    continue
-                parts.append((month, block_idx, batch))
-                local = np.zeros(max(len(batch.ftypes), 1), np.int64)
-                for i, name in enumerate(batch.ftypes):
-                    local[i] = names.setdefault(name, len(names))
-                ftype_parts.append(local[batch.ftype_codes.astype(np.int64)])
+                self.shards[month].iter_batches(planes=False))
+            if len(batch)
+        ]
         if not parts:
             self._index_ready = True
             return
-        months = np.concatenate(
-            [np.full(len(b), m, np.int64) for m, _, b in parts])
-        blocks = np.concatenate(
-            [np.full(len(b), i, np.int64) for _, i, b in parts])
-        slots = np.concatenate(
-            [np.arange(len(b), dtype=np.int64) for _, _, b in parts])
-        times = np.concatenate(
-            [b.scan_time.astype(np.int64) for _, _, b in parts])
-        fresh = np.concatenate(
-            [b.first_submission.astype(np.int64) >= 0 for _, _, b in parts])
-        shas = np.concatenate([b.shas for _, _, b in parts])
-        ftypes = np.concatenate(ftype_parts)
+        lens = [len(b) for _, _, b in parts]
+        months = np.repeat([m for m, _, _ in parts], lens).astype(np.int64)
+        blocks = np.repeat([i for _, i, _ in parts], lens).astype(np.int64)
+        slots = np.concatenate([np.arange(n, dtype=np.int64) for n in lens])
+        stream = ColumnarBatch.concat([b for _, _, b in parts])
+        times = stream.scan_time.astype(np.int64)
+        fresh = stream.first_submission.astype(np.int64) >= 0
+        shas = stream.shas
+        ftypes = stream.ftype_codes.astype(np.int64)
         n_total = len(shas)
 
         uniq, inv = np.unique(shas, return_inverse=True)
@@ -810,7 +800,6 @@ class ReportStore:
         t_l = times[order].tolist()
         bounds_l = bounds.tolist()
         fresh_first = fresh[first_pos].tolist()
-        names_list = list(names)
         ftype_first = ftypes[first_pos].tolist()
         for u in np.argsort(first_pos, kind="stable").tolist():
             lo, hi = bounds_l[u], bounds_l[u + 1]
@@ -819,5 +808,5 @@ class ReportStore:
                 zip(m_l[lo:hi], b_l[lo:hi], s_l[lo:hi], t_l[lo:hi]))
             self._scan_index[sha] = set(t_l[lo:hi])
             self._sample_meta[sha] = (
-                names_list[ftype_first[u]], fresh_first[u])
+                stream.ftypes[ftype_first[u]], fresh_first[u])
         self._index_ready = True

@@ -35,8 +35,8 @@ from repro.parallel.sharding import (
     resolve_workers,
 )
 from repro.parallel.worker import run_shard
-from repro.store.merge import StreamingMerge, concat_frozen
-from repro.synth.population import PopulationGenerator
+from repro.store import merge
+from repro.store.merge import StreamingMerge
 from repro.synth.scenario import tiny_scenario
 
 
@@ -279,20 +279,16 @@ class TestStreamingMerge:
         config = tiny_scenario(n_samples=90, seed=21)
         shards = [s for s in partition_samples(config.n_samples, 6)
                   if s.size]
-        generator = PopulationGenerator(config)
-        shas = [generator.sha_for(i) for i in range(config.n_samples)]
         runs = [run_shard(config, shard) for shard in shards]
-        return config, shas, runs
+        return config, runs
 
     def _frozen(self, shard_runs, order):
-        _, shas, runs = shard_runs
-        return [frozen_shard_of(runs[i], shas) for i in order]
+        _, runs = shard_runs
+        return [frozen_shard_of(runs[i]) for i in order]
 
     def test_any_completion_order_matches_one_shot_concat(self, shard_runs):
-        config, _, runs = shard_runs
-        reference, ref_stats = concat_frozen(
-            self._frozen(shard_runs, range(len(runs))),
-            block_records=config.block_records)
+        config, runs = shard_runs
+        reference = run_experiment(config).store
         ref_digest = reference.digest()
         orders = [list(range(len(runs)))]
         rng = random.Random(5)
@@ -307,18 +303,31 @@ class TestStreamingMerge:
             store, stats = streaming.finish()
             assert store.digest() == ref_digest
             assert store.report_count == reference.report_count
-            assert stats.records == ref_stats.records
+            assert stats.records == reference.report_count
 
-    def test_incremental_folding_bounds_held_runs(self, shard_runs):
-        config, _, runs = shard_runs
+    def test_add_collects_and_finish_merges_once(self, shard_runs,
+                                                 monkeypatch):
+        config, runs = shard_runs
+        calls = []
+        real = merge.merge_shards
+
+        def counting(shards, **kwargs):
+            calls.append(len(shards))
+            return real(shards, **kwargs)
+
+        monkeypatch.setattr(merge, "merge_shards", counting)
         streaming = StreamingMerge(block_records=config.block_records)
         for shard in self._frozen(shard_runs, range(len(runs))):
             streaming.add(shard)
-            # The logarithmic run stack: never more runs than log2 + 1.
-            assert len(streaming._runs) <= max(1, len(runs))
-        assert streaming.folds >= 1
-        store, _ = streaming.finish()
-        assert store.report_count == reference_count(runs)
+        assert calls == []  # add() only keeps the shard
+        store, stats = streaming.finish()
+        assert calls == [len(runs)]
+        assert stats.records == store.report_count == reference_count(runs)
+        assert stats.blocks_recompressed == sum(
+            len(shard.blocks) for shard in store.shards.values())
+        # finish() drains: a second call merges nothing.
+        empty, _ = streaming.finish()
+        assert empty.report_count == 0
 
 
 def reference_count(runs) -> int:

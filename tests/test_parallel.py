@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -197,9 +198,12 @@ def test_run_shard_ships_all_merge_keys():
     shipped = sum(len(m.keys) for m in result.months.values())
     assert shipped == result.report_count
     for month in result.months.values():
-        assert month.keys == sorted(month.keys)
-        for _, index in month.keys:
-            assert shard.start <= index < shard.stop
+        assert month.keys.dtype == np.dtype("<i8")
+        assert ((shard.start <= month.keys) & (month.keys < shard.stop)).all()
+        times = np.concatenate([block.batch(planes=False).scan_time
+                                for block in month.blocks])
+        keys = list(zip(times.tolist(), month.keys.tolist()))
+        assert keys == sorted(keys)
 
 
 def test_iter_range_bounds_checked():
