@@ -8,8 +8,8 @@ rules stripped should collapse the strong pairs.
 
 from __future__ import annotations
 
+from repro.analysis.engines import engine_correlation
 from repro.analysis.experiment import run_experiment
-from repro.core.correlation import correlation_analysis
 from repro.synth.scenario import dynamics_scenario
 from repro.vt.engines import default_fleet
 
@@ -24,10 +24,8 @@ def _strong_pairs(copy_rules: bool):
     config = dynamics_scenario(SAMPLES, seed=55)
     fleet = default_fleet(config.seed, copy_rules=copy_rules)
     data = run_experiment(config, fleet=fleet)
-    analysis = correlation_analysis(
-        list(data.store.iter_reports()), data.engine_names
-    )
-    return analysis
+    return engine_correlation(data.store, data.engine_names,
+                              file_types=()).overall
 
 
 def test_ablation_copy_groups(benchmark):

@@ -22,7 +22,7 @@ def test_fig10_engine_flips(benchmark, bench_data):
     result = run_once(
         benchmark,
         partial(engine_stability, bench_data.store,
-                bench_data.engine_names),
+                bench_data.engine_names, bench_data.dataset_s),
     )
     flips = result.flips
     say()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.analysis.rendering import render_fig11
-from repro.core.correlation import correlation_analysis
+from repro.analysis.engines import engine_correlation
 
 from conftest import run_once, say
 
@@ -26,11 +26,11 @@ PAPER_PAIRS = (
 
 
 def test_fig11_engine_correlation(benchmark, bench_data):
-    reports = list(bench_data.store.iter_reports())
     analysis = run_once(
         benchmark,
-        partial(correlation_analysis, reports, bench_data.engine_names),
-    )
+        partial(engine_correlation, bench_data.store,
+                bench_data.engine_names, file_types=()),
+    ).overall
     say()
     say(render_fig11(analysis))
 

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.analysis.engines import dataset_s_reports
 from repro.core.causes import attribute_causes
 
 from conftest import run_once, say
 
 
 def test_obs7_flip_causes(benchmark, bench_data):
-    breakdown = run_once(
-        benchmark,
-        partial(attribute_causes,
-                list(dataset_s_reports(bench_data.store))),
-    )
+    members = {series.sha256 for series in bench_data.dataset_s}
+    groups = [(sha, reports)
+              for sha, reports in bench_data.store.iter_sample_reports()
+              if sha in members]
+    breakdown = run_once(benchmark, partial(attribute_causes, groups))
     say()
     say("Observation 7: flip-cause attribution over dataset S")
     say(f"  adjacent scan pairs : {breakdown.total_pairs:,} "

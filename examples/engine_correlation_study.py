@@ -13,8 +13,8 @@ Run:  python examples/engine_correlation_study.py
 """
 
 from repro import dynamics_scenario, run_experiment
+from repro.analysis.engines import engine_correlation
 from repro.core.aggregation import ThresholdAggregator, WeightedVoteAggregator
-from repro.core.correlation import correlation_analysis
 from repro.labeling import detection_string, label_family
 from repro.vt.filetypes import FILE_TYPES
 
@@ -25,7 +25,8 @@ print(f"analysing {len(reports):,} scan reports")
 # ---------------------------------------------------------------------------
 # 1. Strong correlations (Figure 11).
 # ---------------------------------------------------------------------------
-analysis = correlation_analysis(reports, data.engine_names)
+analysis = engine_correlation(data.store, data.engine_names,
+                              file_types=()).overall
 print(f"\nstrong pairs (rho > 0.8): {len(analysis.strong_pairs())}, "
       f"involving {len(analysis.involved_engines())} engines "
       "(paper: 17 engines)")

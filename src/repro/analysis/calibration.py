@@ -76,7 +76,7 @@ def calibration_report(data: ExperimentData) -> CalibrationReport:
     impact = dynamics_mod.threshold_impact(dataset_s)
     avrank_stab = stab_mod.avrank_stabilization_profile(dataset_s)
     label_stab = stab_mod.label_stabilization_profile(dataset_s)
-    stability = engine_stability(data.store, data.engine_names)
+    stability = engine_stability(data.store, data.engine_names, dataset_s)
 
     lo_label, hi_label = label_stab.stabilized_fraction_range()
     overall_gray_peak = max(c.gray_fraction for c in impact.overall)

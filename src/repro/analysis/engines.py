@@ -2,8 +2,9 @@
 (Figures 11-12, Tables 4-8).
 
 These are the only pipelines that read per-engine verdict vectors rather
-than AV-Rank series, so they take the store (or a report iterable) plus
-the fleet's engine-name order.
+than AV-Rank series, so they take the store plus the fleet's engine-name
+order.  Correlation reads the store's label plane directly; the flip
+analysis walks dataset *S*'s grouped reports.
 """
 
 from __future__ import annotations
@@ -11,37 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.core.avrank import AVRankSeries
 from repro.core.correlation import (
     CorrelationAnalysis,
+    build_result_matrix,
     correlation_analysis,
     per_type_analyses,
 )
 from repro.core.flips import FlipStats, analyze_flips
+from repro.store.columnar import ColumnarBatch
 from repro.store.reportstore import ReportStore
-from repro.vt.filetypes import TOP20_FILE_TYPES
-from repro.vt.reports import ScanReport
 
 #: The file types the paper's appendix tabulates (Tables 4-8).
 APPENDIX_FILE_TYPES: tuple[str, ...] = ("Win32 EXE", "TXT", "HTML", "ZIP", "PDF")
-
-
-def dataset_s_reports(
-    store: ReportStore, top20: Sequence[str] = TOP20_FILE_TYPES
-) -> Iterable[tuple[str, list[ScanReport]]]:
-    """Grouped reports restricted to the paper's dataset S membership
-    (fresh, top-20 type, multi-report, dynamic)."""
-    wanted = set(top20)
-    for sha, reports in store.iter_sample_reports():
-        if len(reports) < 2:
-            continue
-        if reports[0].file_type not in wanted:
-            continue
-        if reports[0].first_submission_date < 0:
-            continue
-        ranks = [r.positives for r in reports]
-        if max(ranks) == min(ranks):
-            continue
-        yield sha, reports
 
 
 @dataclass(frozen=True)
@@ -67,11 +50,13 @@ class EngineStabilityResult:
 def engine_stability(
     store: ReportStore,
     engine_names: Sequence[str],
-    dataset_s_only: bool = True,
+    dataset_s: Iterable[AVRankSeries],
 ) -> EngineStabilityResult:
-    """Run the §7.1 flip analysis (Figure 10)."""
-    source = (dataset_s_reports(store) if dataset_s_only
-              else store.iter_sample_reports())
+    """Run the §7.1 flip analysis (Figure 10) over dataset *S*
+    (:attr:`~repro.analysis.experiment.ExperimentData.dataset_s`)."""
+    members = {series.sha256 for series in dataset_s}
+    source = ((sha, reports) for sha, reports in store.iter_sample_reports()
+              if sha in members)
     return EngineStabilityResult(flips=analyze_flips(source, engine_names))
 
 
@@ -99,10 +84,15 @@ def engine_correlation(
     threshold: float = 0.8,
     min_scans: int = 50,
 ) -> EngineCorrelationResult:
-    """Run the §7.2 correlation analysis overall and per file type."""
-    reports = list(store.iter_reports())
+    """Run the §7.2 correlation analysis overall and per file type.
+
+    One pass over the store's blocks builds R from the label plane; the
+    per-type keys follow the file types' first appearance in store order.
+    """
+    batch = ColumnarBatch.concat(list(store.iter_batches()))
+    matrix = build_result_matrix(batch, len(engine_names))
     return EngineCorrelationResult(
-        overall=correlation_analysis(reports, engine_names, threshold),
-        per_type=per_type_analyses(reports, engine_names, file_types,
+        overall=correlation_analysis(matrix, engine_names, threshold),
+        per_type=per_type_analyses(matrix, batch, engine_names, file_types,
                                    threshold, min_scans),
     )

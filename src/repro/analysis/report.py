@@ -68,7 +68,7 @@ def build_report(data: ExperimentData) -> str:
         stab_mod.label_stabilization_profile(dataset_s))))
 
     sections.append("## Individual engines (§7)\n")
-    stability = engines_mod.engine_stability(data.store, names)
+    stability = engines_mod.engine_stability(data.store, names, dataset_s)
     sections.append(_block(rendering.render_fig10(
         stability.flips, engines_mod.APPENDIX_FILE_TYPES)))
     correlation = engines_mod.engine_correlation(data.store, names)

@@ -323,7 +323,7 @@ def cmd_stabilization(data: ExperimentData) -> None:
 
 def cmd_engines(data: ExperimentData) -> None:
     names = data.engine_names
-    stability = engines_mod.engine_stability(data.store, names)
+    stability = engines_mod.engine_stability(data.store, names, data.dataset_s)
     print(rendering.render_fig10(stability.flips,
                                  engines_mod.APPENDIX_FILE_TYPES))
     print()

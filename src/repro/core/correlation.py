@@ -12,36 +12,32 @@ connected components that recover the known OEM/copying groups
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import networkx as nx
 import numpy as np
 
 from repro.errors import InsufficientDataError
 from repro.stats.spearman import spearman_matrix
-from repro.vt.reports import ScanReport
+
+if TYPE_CHECKING:  # core stays import-light: store is a typing-only dep.
+    from repro.store.columnar import ColumnarBatch
 
 #: The paper's strong-correlation threshold.
 STRONG_THRESHOLD = 0.8
 
 
-def build_result_matrix(
-    reports: Iterable[ScanReport], n_engines: int
-) -> np.ndarray:
-    """The paper's R matrix: scans × engines with values in {1, 0, −1}."""
-    rows = []
-    for report in reports:
-        row = np.frombuffer(report.labels, dtype=np.uint8).astype(np.int8)
-        rows.append(row)
-    if not rows:
+def build_result_matrix(batch: ColumnarBatch, n_engines: int) -> np.ndarray:
+    """The paper's R matrix: scans × engines with values in {1, 0, −1}.
+
+    A reshape of ``batch``'s label plane, so row ``i`` is record ``i``.
+    """
+    if len(batch) == 0:
         raise InsufficientDataError(1, 0, "reports for correlation")
-    matrix = np.vstack(rows)
-    if matrix.shape[1] != n_engines:
-        raise ValueError(
-            f"reports carry {matrix.shape[1]} engines, expected {n_engines}"
-        )
+    if not batch.uniform or int(batch.n_engines[0]) != n_engines:
+        raise ValueError(f"reports must all carry {n_engines} engines")
+    out = batch.labels.reshape(len(batch), n_engines).astype(np.int8)
     # Byte 2 encodes undetected; map it to the paper's −1.
-    out = matrix.astype(np.int8)
     out[out == 2] = -1
     return out
 
@@ -101,23 +97,22 @@ class CorrelationAnalysis:
 
 
 def correlation_analysis(
-    reports: Iterable[ScanReport],
+    matrix: np.ndarray,
     engine_names: Sequence[str],
     threshold: float = STRONG_THRESHOLD,
 ) -> CorrelationAnalysis:
-    """Run the full §7.2 analysis over a report stream."""
-    matrix = build_result_matrix(reports, len(engine_names))
-    rho = spearman_matrix(matrix)
+    """Run the full §7.2 analysis over a result matrix R."""
     return CorrelationAnalysis(
         engine_names=tuple(engine_names),
-        rho=rho,
+        rho=spearman_matrix(matrix),
         threshold=threshold,
         n_scans=matrix.shape[0],
     )
 
 
 def per_type_analyses(
-    reports: Iterable[ScanReport],
+    matrix: np.ndarray,
+    batch: ColumnarBatch,
     engine_names: Sequence[str],
     file_types: Sequence[str],
     threshold: float = STRONG_THRESHOLD,
@@ -125,16 +120,17 @@ def per_type_analyses(
 ) -> dict[str, CorrelationAnalysis]:
     """§7.2.2: one correlation analysis per file type.
 
-    Types with fewer than ``min_scans`` reports are skipped — ρ over a
-    handful of scans is noise.
+    ``matrix`` is ``batch``'s R; its rows are grouped by the batch's
+    file-type codes, keyed in the order of ``batch.ftypes``.  Types with
+    fewer than ``min_scans`` reports are skipped — ρ over a handful of
+    scans is noise.
     """
     wanted = set(file_types)
-    grouped: dict[str, list[ScanReport]] = {}
-    for report in reports:
-        if report.file_type in wanted:
-            grouped.setdefault(report.file_type, []).append(report)
-    return {
-        ftype: correlation_analysis(batch, engine_names, threshold)
-        for ftype, batch in grouped.items()
-        if len(batch) >= min_scans
-    }
+    codes = batch.ftype_codes.astype(np.int64)
+    out: dict[str, CorrelationAnalysis] = {}
+    for code, ftype in enumerate(batch.ftypes):
+        rows = codes == code
+        if ftype in wanted and rows.sum() >= min_scans:
+            out[ftype] = correlation_analysis(matrix[rows], engine_names,
+                                              threshold)
+    return out

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigError
 from repro.obs import get_registry
-from repro.parallel.executors import make_executor
-from repro.parallel.executors import fork_available as _pool_fork_available
+from repro.parallel.executors import make_executor, resolve_kind
 from repro.parallel.executors.base import ShardTask
 from repro.parallel.scheduler import ExecutorPolicy, ShardScheduler
 from repro.parallel.sharding import partition_samples
@@ -34,16 +33,6 @@ from repro.store.cache import DEFAULT_CACHE_BYTES
 from repro.store.merge import FrozenShard, StreamingMerge
 from repro.synth.scenario import ScenarioConfig
 from repro.vt.engines import EngineFleet, default_fleet
-
-
-def fork_available() -> bool:
-    """Whether this platform supports fork-based worker processes.
-
-    Kept as a module-level indirection (rather than importing the
-    executors' copy directly into callers) so tests can monkeypatch
-    ``runner.fork_available`` to simulate fork-less platforms.
-    """
-    return _pool_fork_available()
 
 
 def coerce_policy(executor) -> ExecutorPolicy:
@@ -96,12 +85,7 @@ def run_parallel(
     from repro.analysis.experiment import ExperimentData, run_experiment
 
     policy = coerce_policy(executor)
-    kind = policy.kind
-    if kind == "auto":
-        kind = "fork" if fork_available() else "spawn"
-    elif kind == "fork" and not fork_available():
-        raise ConfigError("executor kind 'fork' is unavailable on this "
-                          "platform; use 'spawn' or 'auto'")
+    kind = resolve_kind(policy.kind)
 
     ranges = [s for s in partition_samples(config.n_samples,
                                            workers * policy.fanout)

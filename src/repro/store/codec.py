@@ -85,20 +85,6 @@ def decode_report(blob: bytes) -> ScanReport:
     )
 
 
-def peek_sha(record: bytes) -> str:
-    """Extract the sample hash from an encoded record without decoding it.
-
-    Index rebuilds on load touch every record; this avoids full decodes.
-    """
-    return record[_HEADER.size:_HEADER.size + 32].hex()
-
-
-def peek_meta(record: bytes) -> tuple[str, int, int]:
-    """Extract ``(sha256, scan_time, first_submission_date)`` cheaply."""
-    scan_time, _, _, first_sub = struct.unpack_from("<qHHq", record, 0)
-    return peek_sha(record), scan_time, first_sub
-
-
 def record_size(report: ScanReport) -> int:
     """Exact encoded size of a report record in bytes."""
     return (_HEADER.size + 32 + len(report.file_type.encode("utf-8"))

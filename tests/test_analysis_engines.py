@@ -1,18 +1,35 @@
 """Tests for the Section 7 pipelines (repro.analysis.engines)."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.engines import (
     APPENDIX_FILE_TYPES,
-    dataset_s_reports,
     engine_correlation,
     engine_stability,
 )
+from repro.core.correlation import build_result_matrix
+from repro.core.flips import analyze_flips
+from repro.store.columnar import ColumnarBatch
+from repro.vt.filetypes import TOP20_FILE_TYPES
+
+
+def _dataset_s_reports(store):
+    """Dataset S as a predicate over grouped reports: fresh, top-20 type,
+    multi-report, AV-Rank not constant."""
+    for sha, reports in store.iter_sample_reports():
+        ranks = [r.positives for r in reports]
+        if (len(reports) >= 2
+                and reports[0].file_type in TOP20_FILE_TYPES
+                and reports[0].first_submission_date >= 0
+                and max(ranks) != min(ranks)):
+            yield sha, reports
 
 
 @pytest.fixture(scope="module")
 def stability(experiment):
-    return engine_stability(experiment.store, experiment.engine_names)
+    return engine_stability(experiment.store, experiment.engine_names,
+                            experiment.dataset_s)
 
 
 @pytest.fixture(scope="module")
@@ -23,11 +40,21 @@ def correlation(experiment):
 
 class TestDatasetSFilter:
     def test_membership_rules(self, experiment):
-        for _, reports in dataset_s_reports(experiment.store):
-            assert len(reports) >= 2
-            assert reports[0].first_submission_date >= 0
-            ranks = [r.positives for r in reports]
-            assert max(ranks) > min(ranks)
+        selected = [sha for sha, _ in _dataset_s_reports(experiment.store)]
+        assert len(selected) == len(set(selected)) > 0
+        assert set(selected) == {s.sha256 for s in experiment.dataset_s}
+
+    def test_flips_match_predicate_stream(self, experiment, stability):
+        reference = analyze_flips(_dataset_s_reports(experiment.store),
+                                  experiment.engine_names)
+        flips = stability.flips
+        assert flips.sample_count == reference.sample_count
+        assert flips.report_count == reference.report_count
+        for name in ("flips_up", "flips_down", "pairs", "hazards_010",
+                     "hazards_101"):
+            np.testing.assert_array_equal(getattr(flips, name),
+                                          getattr(reference, name))
+        assert list(flips.per_type_flips) == list(reference.per_type_flips)
 
 
 class TestEngineStability:
@@ -59,6 +86,30 @@ class TestEngineStability:
         )
         assert types == list(APPENDIX_FILE_TYPES)
         assert matrix.shape == (5, 70)
+
+
+class TestResultMatrixFromStore:
+    def test_plane_matrix_equals_report_labels(self, experiment):
+        reports = list(experiment.store.iter_reports())
+        expected = np.array([r.engine_labels() for r in reports], np.int8)
+        batch = ColumnarBatch.concat(list(experiment.store.iter_batches()))
+        matrix = build_result_matrix(batch, len(experiment.engine_names))
+        assert matrix.dtype == np.int8
+        assert matrix.shape == expected.shape
+        np.testing.assert_array_equal(matrix, expected)
+        shas = np.array([bytes.fromhex(r.sha256) for r in reports], "S32")
+        np.testing.assert_array_equal(batch.shas, shas)
+
+    def test_per_type_keys_in_stream_order(self, experiment):
+        result = engine_correlation(experiment.store, experiment.engine_names,
+                                    file_types=TOP20_FILE_TYPES, min_scans=1)
+        seen = []
+        for report in experiment.store.iter_reports():
+            if (report.file_type in TOP20_FILE_TYPES
+                    and report.file_type not in seen):
+                seen.append(report.file_type)
+        assert len(seen) > 2
+        assert list(result.per_type) == seen
 
 
 class TestEngineCorrelation:

@@ -142,9 +142,8 @@ def test_workers_one_never_touches_multiprocessing(monkeypatch):
 def test_no_fork_falls_back_to_spawn(monkeypatch):
     """Without fork, 'auto' now degrades to the spawn pool — still a
     real parallel run, still digest-identical to serial."""
-    import repro.parallel.runner as runner
-
-    monkeypatch.setattr(runner, "fork_available", lambda: False)
+    monkeypatch.setattr("repro.parallel.executors.fork_available",
+                        lambda: False)
     config = tiny_scenario(n_samples=40, seed=1)
     data = run_experiment(config, workers=4)
     assert data.workers == 4

@@ -10,7 +10,8 @@ from repro.errors import ConfigError, InsufficientDataError
 
 @pytest.fixture(scope="module")
 def scores(experiment):
-    stability = engine_stability(experiment.store, experiment.engine_names)
+    stability = engine_stability(experiment.store, experiment.engine_names,
+                                 experiment.dataset_s)
     correlation = engine_correlation(experiment.store,
                                      experiment.engine_names,
                                      file_types=())
@@ -65,7 +66,8 @@ class TestScoring:
     def test_empty_reports_rejected(self, scores, experiment):
         _, correlation = scores
         stability = engine_stability(experiment.store,
-                                     experiment.engine_names)
+                                     experiment.engine_names,
+                                     experiment.dataset_s)
         with pytest.raises(InsufficientDataError):
             score_engines([], stability.flips, correlation)
 

@@ -32,17 +32,6 @@ class TestRecordCodec:
         with pytest.raises(CorruptRecordError):
             codec.decode_report(blob[:20])
 
-    def test_peek_sha(self):
-        report = make_report(sha="ab" * 32)
-        assert codec.peek_sha(codec.encode_report(report)) == "ab" * 32
-
-    def test_peek_meta(self):
-        report = make_report(scan_time=4242, first_submission=-99)
-        sha, scan_time, first_sub = codec.peek_meta(
-            codec.encode_report(report)
-        )
-        assert (sha, scan_time, first_sub) == (report.sha256, 4242, -99)
-
 
 class TestVerboseEstimate:
     def test_verbose_size_scales_with_fleet(self):

@@ -355,7 +355,7 @@ class TestRetiredFormatsRejected:
         with pytest.raises(CorruptRecordError):
             loaded.series_frame()
         with pytest.raises(CorruptRecordError):
-            loaded.report_series(codec.peek_sha(records[0]))
+            loaded.report_series(codec.decode_report(records[0]).sha256)
 
     @pytest.mark.parametrize("changes", _RETIRED_HEADERS)
     def test_digest_command_exits_2(self, tmp_path, capsys, changes):
